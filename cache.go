@@ -417,8 +417,9 @@ func (c *Cache) InvalidateScope(scope string) int {
 }
 
 // harvestScope collects the complete exact distance arrays the cache
-// holds for one (scope, graph) pair — at most one per source. The
-// Registry calls this when mutating a graph, BEFORE activating the
+// holds for one (scope, graph) pair — at most one per source. Registry
+// CachedResults exposes it for shutdown snapshots. The Registry also
+// calls this when mutating a graph, BEFORE activating the
 // successor version (activation invalidates the scope): each harvested
 // checkpoint is exact on the pre-mutation graph and therefore a legal
 // prior for MutationDelta.Seed, turning yesterday's cache hits into

@@ -609,7 +609,7 @@ func TestElapsedAccounting(t *testing.T) {
 }
 
 // TestCacheOverlayMutateNoStaleResults: the mutation analogue of the
-// hot-swap stale-read test above. A mutated overlay advances the
+// hot-swap stale-read test above. A mutated graph advances the
 // content fingerprint, so a pre-mutation cache entry must be
 // unreachable for post-mutation queries even when two pools share one
 // cache under the SAME scope — the keying, not the scope hygiene, is
@@ -619,8 +619,8 @@ func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 	cache := NewCache(CacheOptions{})
 	ctx := context.Background()
 
-	overlay := NewOverlay(uchain(n, 1))
-	pre := cachedPool(t, overlay.Snapshot(), cache, PoolOptions{CacheScope: "shared"})
+	g := uchain(n, 1)
+	pre := cachedPool(t, g, cache, PoolOptions{CacheScope: "shared"})
 
 	res, err := pre.Run(ctx, 0)
 	if err != nil {
@@ -638,10 +638,11 @@ func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 
 	// Same shape, same scope, one weight changed: the next query must
 	// NOT see the cached pre-mutation distances.
-	if _, err := overlay.Mutate([]Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 5}}); err != nil {
+	ng, _, err := ApplyMutations(g, []Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 5}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	post := cachedPool(t, overlay.Snapshot(), cache, PoolOptions{CacheScope: "shared"})
+	post := cachedPool(t, ng, cache, PoolOptions{CacheScope: "shared"})
 	res, err = post.Run(ctx, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -33,11 +33,12 @@ func chaosGraph() *wasp.Graph {
 	return wasp.FromEdges(chaosN, false, edges)
 }
 
-// chaosCheckpoint is a genuine mid-solve snapshot for source 3 on the
-// chaos path: the first few vertices settled at their exact distances,
+// chaosCheckpoint is a genuine upper-bound snapshot for source 3 on
+// the chaos path: the first few vertices at their exact distances,
 // everything else unreached. Every finite entry is a real path length,
 // so resuming from it is legitimate on any version of the graph (all
-// republished versions carry identical content).
+// republished versions carry identical content) — any upper bound is a
+// valid seed, not only the exact ones a drain writes.
 func chaosCheckpoint(g *wasp.Graph) *wasp.Checkpoint {
 	dist := make([]uint32, chaosN)
 	for v := range dist {
@@ -62,13 +63,14 @@ func chaosCheckpoint(g *wasp.Graph) *wasp.Checkpoint {
 }
 
 // TestDaemonChaos is the daemon-level chaos suite: for each seed it
-// assembles a full serving stack (registry + cache + governor +
-// checkpoint tracker + bundle scanner behind the real HTTP mux),
-// pre-seeds the checkpoint directory with a resumable file and a
-// garbage file, then runs an overload storm of concurrent queries
-// against injected solve stalls, disk write errors, ENOSPC, disk read
-// errors, and bundle load errors — while a reloader keeps republishing
-// the same graph under bumped versions.
+// assembles a full serving stack (registry + cache + governor + bundle
+// scanner + scrubber behind the real HTTP mux), pre-seeds the snapshot
+// directory with a resumable file and a garbage file, then runs an
+// overload storm of concurrent queries against injected solve stalls,
+// disk stalls, disk read errors, and bundle load errors — while a
+// reloader keeps republishing the same graph under bumped versions.
+// Each round ends with a drain under injected write errors and ENOSPC,
+// and a restart on the snapshot it left.
 //
 // Invariants asserted, per seed:
 //   - no stale results: every complete response carries the exact
@@ -77,7 +79,9 @@ func chaosCheckpoint(g *wasp.Graph) *wasp.Checkpoint {
 //   - the brownout ladder only ever moves one rung at a time;
 //   - after the faults clear, the daemon recovers to ready with the
 //     ladder back at "none" and serves exact results again;
-//   - the ENOSPC degraded mode self-heals once the disk drains;
+//   - a drain under disk write faults writes a (possibly partial)
+//     snapshot, and the restarted daemon loads every file of it and
+//     serves exact answers;
 //   - nothing leaks: goroutines return to baseline after shutdown.
 func TestDaemonChaos(t *testing.T) {
 	seeds := 20
@@ -98,8 +102,8 @@ func chaosRound(t *testing.T, seed uint64) {
 	bundleDir, ckptDir := t.TempDir(), t.TempDir()
 	bundlePath := filepath.Join(bundleDir, "chaos.wspb")
 
-	// Recovery inputs a crashed predecessor could have left: one
-	// resumable checkpoint, one file of garbage.
+	// Recovery inputs a predecessor could have left: one resumable
+	// snapshot file, one file of garbage.
 	if err := wasp.SaveCheckpoint(filepath.Join(ckptDir, "ckpt-chaos-3.wsck"), chaosCheckpoint(g)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +125,15 @@ func chaosRound(t *testing.T, seed uint64) {
 			tmu.Unlock()
 		},
 	})
-	tracker := newCkptTracker(ckptDir)
-	tracker.probeEvery = 10 * time.Millisecond
 	cache := wasp.NewCache(wasp.CacheOptions{MaxBytes: 4 << 20})
 	reg := wasp.NewRegistry(wasp.RegistryOptions{
-		Options: wasp.Options{Workers: 2, CheckpointInterval: 2 * time.Millisecond},
+		Options: wasp.Options{Workers: 2},
 		Cache:   cache,
 		Pool: wasp.PoolOptions{
 			Sessions:   2,
 			QueueDepth: 4,
 			QueueWait:  5 * time.Millisecond,
 			Governor:   gov,
-		},
-		ConfigureOptions: func(graph string, _ uint64, o wasp.Options) wasp.Options {
-			o.CheckpointSink = tracker.sinkFor(graph)
-			return o
 		},
 		// Full-rate async auditing all round: the plan injects stalls and
 		// disk faults but never corrupts a result, so a single audit
@@ -158,30 +156,28 @@ func chaosRound(t *testing.T, seed uint64) {
 	if loaded, rejected := sc.rescan(ctx); loaded != 1 || rejected != 0 {
 		t.Fatalf("initial scan: loaded %d rejected %d", loaded, rejected)
 	}
-	s := &server{reg: reg, cache: cache, ckpt: tracker, gov: gov, scan: sc}
-	// Integrity scrubber on a hot cadence, racing the checkpoint writer,
-	// the reloader, and the recovery reads for the whole round. It may
-	// legitimately condemn the pre-seeded garbage file; it must never
-	// condemn the bundle the scanner is serving from.
+	s := &server{reg: reg, cache: cache, ckptDir: ckptDir, gov: gov, scan: sc}
+	// Integrity scrubber on a hot cadence, racing the reloader and the
+	// query storm for the whole round. It must never condemn the bundle
+	// the scanner is serving from.
 	s.scrub = wasp.NewScrubber(wasp.ScrubberOptions{
-		CheckpointDir: ckptDir,
-		BundleDir:     bundleDir,
-		Cache:         cache,
-		Interval:      10 * time.Millisecond,
+		BundleDir: bundleDir,
+		Cache:     cache,
+		Interval:  10 * time.Millisecond,
 	})
 	s.scrub.Start()
 	ts := httptest.NewServer(s.routes())
 	client := ts.Client()
 
+	// Nothing writes to disk during the storm; write errors and ENOSPC
+	// are injected into the drain at the end of the round.
 	plan := fault.NewPlan(fault.Config{
-		Seed:            seed,
-		SolveStall:      400,
-		DiskStall:       300,
-		DiskWriteErr:    150,
-		DiskWriteENOSPC: 80,
-		DiskReadErr:     300,
-		BundleLoadErr:   400,
-		MaxYields:       16,
+		Seed:          seed,
+		SolveStall:    400,
+		DiskStall:     300,
+		DiskReadErr:   300,
+		BundleLoadErr: 400,
+		MaxYields:     16,
 	})
 	fault.Activate(plan)
 	defer fault.Deactivate()
@@ -221,27 +217,6 @@ func chaosRound(t *testing.T, seed uint64) {
 			time.Sleep(3 * time.Millisecond)
 		}
 	}()
-	// Checkpoint writer: a steady stream of sink writes so the disk
-	// write faults (including ENOSPC) are exercised every round
-	// regardless of how fast the path-graph solves finish. It runs on
-	// its own WaitGroup because it stops on signal, not on its own.
-	ckptDone := make(chan struct{})
-	var ckptWG sync.WaitGroup
-	ckptWG.Add(1)
-	go func() {
-		defer ckptWG.Done()
-		sink := tracker.sinkFor("chaos")
-		cp := chaosCheckpoint(g)
-		for {
-			select {
-			case <-ckptDone:
-				return
-			default:
-				sink(cp)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
 	// Query storm: more concurrency than the pool has slots, so the
 	// governor sees real queue pressure and walks the ladder.
 	const target = chaosN - 1
@@ -256,8 +231,6 @@ func chaosRound(t *testing.T, seed uint64) {
 		}(w)
 	}
 	wg.Wait()
-	close(ckptDone)
-	ckptWG.Wait()
 
 	// Faults off: the daemon must recover on its own — ladder back to
 	// none, readiness green, exact answers again.
@@ -281,16 +254,6 @@ func chaosRound(t *testing.T, seed uint64) {
 	}
 	if !recovered {
 		t.Fatalf("daemon did not recover: level %s, pressure %.2f", gov.Level(), gov.Pressure())
-	}
-
-	// If the storm tripped the ENOSPC degraded mode, it must self-heal
-	// now that the injected disk is gone.
-	if tracker.disabled.Load() {
-		time.Sleep(tracker.probeEvery + 5*time.Millisecond)
-		tracker.sinkFor("chaos")(chaosCheckpoint(g))
-		if tracker.disabled.Load() {
-			t.Error("checkpointing did not self-heal after ENOSPC cleared")
-		}
 	}
 
 	// The ladder never jumps: every transition is exactly one rung, and
@@ -329,21 +292,79 @@ func chaosRound(t *testing.T, seed uint64) {
 		t.Fatalf("scrubber evicted healthy cache entries: %+v", st)
 	}
 
+	// Drain under write faults, then restart on what it wrote. Every
+	// storm source is answered exactly first, so the snapshot has all
+	// eight to write.
+	for src := 0; src < 8; src++ {
+		if !chaosExactQuery(client, ts.URL, src, target) {
+			t.Fatalf("source %d not answered exactly before the drain", src)
+		}
+	}
+	ts.Close()
+	chaosRestart(t, s, seed, bundleDir)
+
 	// Shutdown leaks nothing: goroutines return to the pre-round
 	// baseline (the +2 tolerance absorbs the runtime's own background
 	// variance, same as the drain test).
-	ts.Close()
-	cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := reg.Close(cctx); err != nil {
-		t.Fatal(err)
-	}
 	leakDeadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(leakDeadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before+2 {
 		t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, n)
+	}
+}
+
+// chaosRestart drains s with injected write errors and ENOSPC — the
+// snapshot may stop early, never fail the drain — and restarts a
+// daemon on the same bundle and snapshot directories. Every file the
+// drain wrote must load back into the cache, and every storm source
+// must be answered exactly.
+func chaosRestart(t *testing.T, s *server, seed uint64, bundleDir string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fault.Activate(fault.NewPlan(fault.Config{
+		Seed:            seed,
+		DiskStall:       300,
+		DiskWriteErr:    150,
+		DiskWriteENOSPC: 80,
+		MaxYields:       16,
+	}))
+	err := s.drain(ctx)
+	fault.Deactivate()
+	if err != nil {
+		t.Fatalf("drain under write faults: %v", err)
+	}
+	written, err := filepath.Glob(filepath.Join(s.ckptDir, "ckpt-*.wsck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache := wasp.NewCache(wasp.CacheOptions{MaxBytes: 4 << 20})
+	reg := wasp.NewRegistry(wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 2},
+		Cache:   cache,
+		Pool:    wasp.PoolOptions{Sessions: 2, QueueDepth: 8, QueueWait: 5 * time.Second},
+	})
+	defer reg.Close(ctx)
+	if loaded, rejected := newBundleScanner(reg, bundleDir).rescan(ctx); loaded != 1 || rejected != 0 {
+		t.Fatalf("restart scan: loaded %d rejected %d", loaded, rejected)
+	}
+	restarted := &server{reg: reg, cache: cache, ckptDir: s.ckptDir}
+	restarted.recoverCheckpoints(ctx)
+	if got := restarted.recovered.Load(); got != int64(len(written)) {
+		t.Fatalf("restart recovered %d of the %d snapshot files the drain wrote", got, len(written))
+	}
+	ts := httptest.NewServer(restarted.routes())
+	defer ts.Close()
+	for src := 0; src < 8; src++ {
+		if !chaosExactQuery(ts.Client(), ts.URL, src, chaosN-1) {
+			t.Fatalf("restarted daemon: source %d not answered exactly", src)
+		}
+	}
+	if hits := cache.Stats().Hits; hits < int64(len(written)) {
+		t.Fatalf("restarted daemon: %d cache hits, want at least the %d recovered sources", hits, len(written))
 	}
 }
 
@@ -573,8 +594,8 @@ func TestDaemonMutationChaos(t *testing.T) {
 
 // TestDaemonCorruptionDetection proves the corruption faults are
 // detected end to end: a DistFlip on a served result fails its sampled
-// audit and quarantines the graph (503s, readiness shows it, its
-// checkpoints are distrusted, other graphs keep serving), and a
+// audit and quarantines the graph (503s, readiness shows it, its cache
+// entries never reach a snapshot, other graphs keep serving), and a
 // FileCorrupt flip during a scrub pass is caught by the re-decode —
 // with every step recorded in /metrics and the daemon never exiting.
 func TestDaemonCorruptionDetection(t *testing.T) {
@@ -586,23 +607,15 @@ func TestDaemonCorruptionDetection(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ckptPath := filepath.Join(ckptDir, "ckpt-alpha-3.wsck")
-	if err := wasp.SaveCheckpoint(ckptPath, chaosCheckpoint(g)); err != nil {
-		t.Fatal(err)
-	}
 
-	tracker := newCkptTracker(ckptDir)
+	cache := wasp.NewCache(wasp.CacheOptions{})
 	reg := wasp.NewRegistry(wasp.RegistryOptions{
 		Options: wasp.Options{Workers: 2},
+		Cache:   cache,
 		Pool:    wasp.PoolOptions{Sessions: 2, QueueDepth: 8, QueueWait: time.Second},
 		// Synchronous full-rate auditing: the quarantine lands before the
 		// corrupted response is even off the serving goroutine.
 		Audit: &wasp.AuditorOptions{SampleRate: 1},
-		OnEvent: func(ev wasp.RegistryEvent) {
-			if ev.Kind == wasp.EventQuarantined {
-				tracker.distrust(ev.Graph)
-			}
-		},
 	})
 	defer func() {
 		cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -616,8 +629,8 @@ func TestDaemonCorruptionDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := &server{reg: reg, ckpt: tracker}
-	s.scrub = wasp.NewScrubber(wasp.ScrubberOptions{CheckpointDir: ckptDir, BundleDir: bundleDir})
+	s := &server{reg: reg, cache: cache, ckptDir: ckptDir}
+	s.scrub = wasp.NewScrubber(wasp.ScrubberOptions{BundleDir: bundleDir})
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 	client := ts.Client()
@@ -671,13 +684,14 @@ func TestDaemonCorruptionDetection(t *testing.T) {
 		t.Fatalf("readiness = %+v", ready)
 	}
 
-	// The quarantine distrusted alpha's checkpoint: renamed aside, so no
-	// future recovery resumes from a solver that served wrong answers.
-	if _, err := os.Stat(ckptPath); !os.IsNotExist(err) {
-		t.Fatalf("distrusted checkpoint still present: %v", err)
+	// The quarantine dropped alpha's cache entries, the corrupt one
+	// included, so a snapshot taken now holds beta's answer alone and no
+	// restart can ever serve what the lying solver computed.
+	if got := s.snapshotCache(ctx); got != 1 {
+		t.Fatalf("snapshot wrote %d files, want beta's 1", got)
 	}
-	if _, err := os.Stat(ckptPath + ".bad"); err != nil {
-		t.Fatalf("distrusted checkpoint not preserved as .bad: %v", err)
+	if files, _ := filepath.Glob(filepath.Join(ckptDir, "ckpt-alpha-*.wsck")); len(files) != 0 {
+		t.Fatalf("quarantined graph's results reached the snapshot: %v", files)
 	}
 
 	// FileCorrupt: a scrub pass under the fault flips one byte of each
@@ -699,7 +713,6 @@ func TestDaemonCorruptionDetection(t *testing.T) {
 		"ssspd_quarantines_total 1",
 		`ssspd_audits_total{outcome="failed"} 1`,
 		"ssspd_audit_failures_total 1",
-		"ssspd_checkpoints_distrusted_total 1",
 		"ssspd_scrub_corrupt_total 1",
 	} {
 		if !strings.Contains(string(body), want+"\n") {

@@ -41,19 +41,19 @@
 // ready — /healthz/ready reports pressure and brownout level instead
 // of failing the probe.
 //
-// With -checkpoint-dir the daemon is crash-recoverable: every
-// in-flight solve is snapshotted to a per-(graph, source) file on a
-// -checkpoint-interval cadence, and a restarted daemon resumes those
-// solves in the background — from the last published upper-bound
-// state, converging to exact distances — while serving fresh queries.
-// A checkpoint whose fingerprint no longer matches its graph (the
-// graph was redeployed with a different shape while the daemon was
-// down) is skipped and removed, never a startup failure. Disk faults
-// never hurt serving: transient save/read errors retry with jittered
-// backoff, ENOSPC flips checkpointing into a self-healing disabled
-// mode that probes its way back when space returns, and a bundle file
-// that fails to load is quarantined under exponential backoff while
-// the last good version keeps serving.
+// With -checkpoint-dir the result cache outlives a restart: on drain,
+// once the last query is answered, every graph's cached results are
+// written to per-(graph, source) files, and a restarted daemon loads
+// them back into the cache in the background while serving fresh
+// queries — the hot sources answer as cache hits again. A file whose
+// fingerprint no longer matches its graph (the graph was redeployed
+// with a different shape or weights while the daemon was down), a
+// corrupt file, or one naming a graph that is gone is skipped and
+// removed, never a startup failure. Disk faults never hurt serving:
+// transient save/read errors retry with jittered backoff, a full disk
+// ends the snapshot early (the files written stay valid), and a bundle
+// file that fails to load is quarantined under exponential backoff
+// while the last good version keeps serving.
 //
 // Usage:
 //
@@ -77,7 +77,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -90,13 +89,16 @@ import (
 type server struct {
 	reg      *wasp.Registry
 	cache    *wasp.Cache    // nil when -cache-mb is 0
-	ckpt     *ckptTracker   // nil when -checkpoint-dir is unset
+	ckptDir  string         // cache snapshot directory; "" when -checkpoint-dir is unset
 	scan     *bundleScanner // nil when -graphs is unset
 	prom     *promState     // /metrics state; initialized lazily by routes
 	gov      *wasp.Governor // nil when -brownout=false
 	scrub    *wasp.Scrubber // nil when -scrub-interval is 0
 	retry    string         // static Retry-After seconds sent with 429s
 	draining atomic.Bool
+
+	recovered       atomic.Int64 // snapshot files resumed into the cache at startup
+	recoverySkipped atomic.Int64 // snapshot files dropped for a gone graph or a changed fingerprint
 }
 
 // retryAfter renders the 429 hint: the governor's adaptive estimate —
@@ -161,79 +163,12 @@ func (s *server) poolStats() wasp.PoolStats {
 	return agg
 }
 
-// ckptTracker owns the daemon's checkpoint directory: the periodic
-// sink writes per-(graph, source) files (ckpt-<graph>-<source>.wsck,
-// atomically replaced), a refcount of in-flight queries decides when a
-// completed solve's file is spent and removed, and startup recovery
-// resumes whatever files a previous process left behind. All methods
-// are safe for concurrent use — distinct sessions checkpoint
-// concurrently, and concurrent queries may share a source.
-type ckptTracker struct {
-	dir string
-
-	// probeEvery is how often a disabled tracker lets one write through
-	// to probe whether the full disk has space again (default 5s; tests
-	// shrink it).
-	probeEvery time.Duration
-
-	mu       sync.Mutex
-	inflight map[ckptKey]int
-
-	writes    atomic.Int64
-	lastWrite atomic.Int64 // unix nanos of the last successful write; 0 = never
-	recovered atomic.Int64
-	skipped   atomic.Int64 // recovery files dropped for fingerprint mismatch
-
-	writeErrs     atomic.Int64 // saves that failed after retries
-	skippedWrites atomic.Int64 // saves skipped while checkpointing was disabled
-	disabled      atomic.Bool  // ENOSPC degraded mode: skip writes, probe, self-heal
-	lastProbe     atomic.Int64 // unix nanos of the last probe write while disabled
-	distrusted    atomic.Int64 // checkpoint files renamed .bad after a quarantine
-}
-
-// distrust renames every checkpoint file of the named graph to
-// <name>.bad: the graph's active version just failed a result audit,
-// and snapshots produced by a solver that served wrong distances must
-// never seed a future recovery. Renamed files are preserved for
-// forensics and invisible to every producer/consumer glob.
-func (c *ckptTracker) distrust(graph string) int {
-	files, err := filepath.Glob(filepath.Join(c.dir, fmt.Sprintf("ckpt-%s-*.wsck", graph)))
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, f := range files {
-		if os.Rename(f, f+".bad") == nil {
-			n++
-		}
-	}
-	if n > 0 {
-		c.distrusted.Add(int64(n))
-		log.Printf("quarantine: distrusted %d checkpoint(s) of graph %q (renamed .bad)", n, graph)
-	}
-	return n
-}
-
-type ckptKey struct {
-	graph string
-	src   uint32
-}
-
-func newCkptTracker(dir string) *ckptTracker {
-	return &ckptTracker{
-		dir:        dir,
-		probeEvery: 5 * time.Second,
-		inflight:   make(map[ckptKey]int),
-	}
-}
-
 // retryDisk runs op up to attempts times with a jittered exponential
 // backoff between tries, absorbing the transient failures disks
 // actually produce (EINTR, a racing rename, a momentary IO error). It
 // returns nil on the first success and the last error otherwise.
 // ENOSPC short-circuits: a full disk will not empty between
-// millisecond retries, and the caller handles it as a mode change, not
-// a retry.
+// millisecond retries, so the caller stops writing instead.
 func retryDisk(attempts int, base time.Duration, op func() error) error {
 	var err error
 	for i := 0; i < attempts; i++ {
@@ -251,209 +186,124 @@ func retryDisk(attempts int, base time.Duration, op func() error) error {
 	return err
 }
 
-// disabledNow reports whether this write should be skipped because
-// checkpointing is in the ENOSPC-degraded mode. Every probeEvery, one
-// caller is let through as a probe — its success re-enables
-// checkpointing, so the mode self-heals when space returns without any
-// background goroutine.
-func (c *ckptTracker) disabledNow() bool {
-	if !c.disabled.Load() {
-		return false
-	}
-	now := time.Now().UnixNano()
-	last := c.lastProbe.Load()
-	if now-last >= int64(c.probeEvery) && c.lastProbe.CompareAndSwap(last, now) {
-		return false // this caller is the probe
-	}
-	return true
+// ckptPath names the snapshot file of one cached result:
+// ckpt-<graph>-<source>.wsck, the source in the serving version's
+// vertex ids (the ids the checkpoint itself carries).
+func ckptPath(dir, graph string, src uint32) string {
+	return filepath.Join(dir, fmt.Sprintf("ckpt-%s-%d.wsck", graph, src))
 }
 
-// disable flips checkpointing into the degraded mode, logging the
-// transition once (each subsequent skip bumps a counter instead of a
-// log line — an hour of full disk must not be an hour of log spam).
-func (c *ckptTracker) disable(err error) {
-	c.writeErrs.Add(1)
-	if !c.disabled.Swap(true) {
-		c.lastProbe.Store(time.Now().UnixNano())
-		log.Printf("checkpointing disabled: %v (probing every %v; re-enables when space returns)", err, c.probeEvery)
-	}
-}
-
-func (c *ckptTracker) path(graph string, src uint32) string {
-	return filepath.Join(c.dir, fmt.Sprintf("ckpt-%s-%d.wsck", graph, src))
-}
-
-// parseCkptName inverts path: ckpt-<graph>-<source>.wsck. The graph
-// name may itself contain dashes, so the source is the suffix after
-// the LAST dash.
-func parseCkptName(base string) (graph string, src uint32, ok bool) {
+// parseCkptName recovers the graph name from a ckptPath base name. The
+// graph name may itself contain dashes, so the source is the suffix
+// after the LAST dash.
+func parseCkptName(base string) (graph string, ok bool) {
 	stem, found := strings.CutSuffix(base, ".wsck")
 	if !found {
-		return "", 0, false
+		return "", false
 	}
 	stem, found = strings.CutPrefix(stem, "ckpt-")
 	if !found {
-		return "", 0, false
+		return "", false
 	}
 	i := strings.LastIndexByte(stem, '-')
-	if i < 0 {
-		// Pre-registry layout: ckpt-<source>.wsck, no graph name.
-		n, err := strconv.ParseUint(stem, 10, 32)
-		return "", uint32(n), err == nil
+	if i <= 0 {
+		return "", false
 	}
-	n, err := strconv.ParseUint(stem[i+1:], 10, 32)
-	if err != nil {
-		return "", 0, false
+	if _, err := strconv.ParseUint(stem[i+1:], 10, 32); err != nil {
+		return "", false
 	}
-	return stem[:i], uint32(n), true
+	return stem[:i], true
 }
 
-// sinkFor returns the CheckpointSink bound to one graph: persist the
-// snapshot under the (graph, source) file. Called synchronously from
-// each session's supervisor goroutine; the atomic write-then-rename in
-// SaveCheckpoint makes concurrent same-source writers harmless (last
-// complete file wins, never a torn one).
-//
-// Checkpointing is an availability feature, so its own failures are
-// never allowed to hurt serving: transient write errors retry with
-// jittered backoff and then give up on this snapshot (the next
-// interval tick tries again), and ENOSPC flips the tracker into a
-// degraded skip-everything mode that probes its way back to enabled
-// when the disk drains — queries are never failed or slowed either
-// way.
-func (c *ckptTracker) sinkFor(graph string) func(*wasp.Checkpoint) {
-	return func(cp *wasp.Checkpoint) {
-		if c.disabledNow() {
-			c.skippedWrites.Add(1)
-			return
-		}
-		err := retryDisk(3, 5*time.Millisecond, func() error {
-			return wasp.SaveCheckpoint(c.path(graph, cp.Source), cp)
-		})
-		switch {
-		case err == nil:
-			if c.disabled.Swap(false) {
-				// This was the probe write: space is back.
-				log.Printf("checkpointing re-enabled: disk writable again")
+// snapshotCache writes the complete cached results of every graph's
+// active version to -checkpoint-dir, one file per (graph, source). It
+// runs on drain, once no query is in flight: every entry is an exact
+// finished solve, so the next process can load it back as a cache
+// entry (recoverCheckpoints). Transient write errors retry; on ENOSPC
+// or once ctx (the drain deadline) expires the snapshot stops where it
+// is — the files already written are complete and valid on their own.
+func (s *server) snapshotCache(ctx context.Context) (written int) {
+	for _, name := range s.reg.Graphs() {
+		for _, cp := range s.reg.CachedResults(name) {
+			if ctx.Err() != nil {
+				log.Printf("snapshot: drain deadline after %d file(s), stopping", written)
+				return written
 			}
-			c.writes.Add(1)
-			c.lastWrite.Store(time.Now().UnixNano())
-		case errors.Is(err, syscall.ENOSPC):
-			c.disable(err)
-		default:
-			c.writeErrs.Add(1)
-			log.Printf("checkpoint %s/%d: %v", graph, cp.Source, err)
+			err := retryDisk(3, 5*time.Millisecond, func() error {
+				return wasp.SaveCheckpoint(ckptPath(s.ckptDir, name, cp.Source), cp)
+			})
+			switch {
+			case err == nil:
+				written++
+			case errors.Is(err, syscall.ENOSPC):
+				log.Printf("snapshot: disk full after %d file(s), stopping: %v", written, err)
+				return written
+			default:
+				log.Printf("snapshot %s source %d: %v", name, cp.Source, err)
+			}
 		}
 	}
+	return written
 }
 
-// acquire registers an in-flight query for (graph, src).
-func (c *ckptTracker) acquire(graph string, src uint32) {
-	c.mu.Lock()
-	c.inflight[ckptKey{graph, src}]++
-	c.mu.Unlock()
-}
-
-// release unregisters a query. When it was the last one in flight for
-// (graph, src) and the solve ran to completion, the checkpoint file is
-// spent — resuming finished distances is pointless — and removed.
-// Incomplete exits (degraded, cancelled, crashed later) keep the file
-// so a restart can pick the work back up.
-func (c *ckptTracker) release(graph string, src uint32, completed bool) {
-	k := ckptKey{graph, src}
-	c.mu.Lock()
-	c.inflight[k]--
-	last := c.inflight[k] <= 0
-	if last {
-		delete(c.inflight, k)
-	}
-	c.mu.Unlock()
-	if last && completed {
-		_ = os.Remove(c.path(graph, src))
-	}
-}
-
-// ageMS reports milliseconds since the last successful checkpoint
-// write, -1 when none has happened yet.
-func (c *ckptTracker) ageMS() float64 {
-	ns := c.lastWrite.Load()
-	if ns == 0 {
-		return -1
-	}
-	return float64(time.Since(time.Unix(0, ns))) / float64(time.Millisecond)
-}
-
-// recoverCheckpoints resumes every checkpoint file a previous process
-// left in the directory, sequentially, through the registry's normal
-// admission path. Three classes of file are dropped rather than
-// retried forever, and none of them fails the daemon:
-//
-//   - unreadable/corrupt files (a kill can land mid-write of the
-//     temporary, never of the published file — but disks lie);
-//   - files naming a graph that is no longer registered;
-//   - files whose fingerprint mismatches their graph's current shape —
-//     the graph was redeployed as a different version while the daemon
-//     was down, and resuming old distances onto it would be garbage.
-//
-// Completed recoveries remove their spent file; failed resumes keep it
-// for the next restart.
+// recoverCheckpoints loads the snapshot a previous process wrote on
+// drain. Each file is resumed through Registry.Resume — an exact seed
+// converges in one repair scan and is stored as an exact cache entry —
+// and then removed, whatever the outcome: one attempt per file, so a
+// corrupt file, a file naming a graph that is gone, or one whose
+// fingerprint no longer matches (the graph was redeployed with a
+// different shape or weights) is dropped instead of retried forever,
+// and none of them fails the daemon. Once ctx is cancelled the
+// remaining files are left for the next start.
 func (s *server) recoverCheckpoints(ctx context.Context) {
-	files, err := filepath.Glob(filepath.Join(s.ckpt.dir, "ckpt-*.wsck"))
+	files, err := filepath.Glob(filepath.Join(s.ckptDir, "ckpt-*.wsck"))
 	if err != nil || len(files) == 0 {
 		return
 	}
-	log.Printf("recovery: %d checkpoint(s) found", len(files))
+	log.Printf("recovery: %d snapshot file(s) found", len(files))
 	for _, f := range files {
-		graph, _, ok := parseCkptName(filepath.Base(f))
-		if !ok {
-			log.Printf("recovery: removing %s: unrecognized checkpoint file name", f)
-			_ = os.Remove(f)
-			continue
+		if ctx.Err() != nil {
+			return
 		}
-		var cp *wasp.Checkpoint
-		// Retry transient read failures before concluding the file is
-		// garbage: recovery runs once per process, so giving up on a
-		// flaky read would silently drop resumable work.
-		err := retryDisk(3, 5*time.Millisecond, func() error {
-			var lerr error
-			cp, lerr = wasp.LoadCheckpoint(f)
-			return lerr
-		})
-		if err != nil {
-			log.Printf("recovery: removing %s: %v", f, err)
-			_ = os.Remove(f)
-			continue
+		if err := s.recoverFile(ctx, f); err != nil {
+			log.Printf("recovery: dropping %s: %v", f, err)
+		} else {
+			s.recovered.Add(1)
 		}
-		if graph == "" {
-			// Legacy single-graph file: adopt it if exactly one
-			// registered graph matches its fingerprint.
-			graph = s.adoptCheckpoint(cp)
-		}
-		if err := s.matchCheckpoint(graph, cp); err != nil {
-			log.Printf("recovery: skipping %s: %v", f, err)
-			_ = os.Remove(f)
-			s.ckpt.skipped.Add(1)
-			continue
-		}
-		s.ckpt.acquire(graph, cp.Source)
-		res, err := s.reg.Resume(ctx, graph, cp)
-		completed := err == nil && res != nil && res.Complete
-		s.ckpt.release(graph, cp.Source, completed)
-		if completed {
-			// release removed the canonical (graph, source) file; a
-			// legacy-named file needs removing under its own name.
-			if canon := s.ckpt.path(graph, cp.Source); canon != f {
-				_ = os.Remove(f)
-			}
-		}
-		if err != nil {
-			log.Printf("recovery: %s source %d: %v", graph, cp.Source, err)
-			continue
-		}
-		s.ckpt.recovered.Add(1)
-		log.Printf("recovery: %s source %d resumed from %d/%d settled, finished in %v (total %v)",
-			graph, cp.Source, cp.Settled(), len(cp.Dist), res.Elapsed-cp.Elapsed, res.Elapsed)
+		_ = os.Remove(f)
 	}
+	log.Printf("recovery: %d of %d snapshot file(s) resumed into the cache", s.recovered.Load(), len(files))
+}
+
+// recoverFile resumes one snapshot file into the cache.
+func (s *server) recoverFile(ctx context.Context, f string) error {
+	graph, ok := parseCkptName(filepath.Base(f))
+	if !ok {
+		return errors.New("unrecognized snapshot file name")
+	}
+	var cp *wasp.Checkpoint
+	// Retry transient read failures before concluding the file is
+	// garbage: it gets exactly one attempt.
+	err := retryDisk(3, 5*time.Millisecond, func() error {
+		var lerr error
+		cp, lerr = wasp.LoadCheckpoint(f)
+		return lerr
+	})
+	if err != nil {
+		return err
+	}
+	if err := s.matchCheckpoint(graph, cp); err != nil {
+		s.recoverySkipped.Add(1)
+		return err
+	}
+	res, err := s.reg.Resume(ctx, graph, cp)
+	if err != nil {
+		return err
+	}
+	if !res.Complete {
+		return fmt.Errorf("%s source %d: resume did not complete", graph, cp.Source)
+	}
+	return nil
 }
 
 // matchCheckpoint verifies cp's fingerprint against the named graph's
@@ -463,30 +313,13 @@ func (s *server) recoverCheckpoints(ctx context.Context) {
 // distances onto the new wiring.
 func (s *server) matchCheckpoint(graph string, cp *wasp.Checkpoint) error {
 	st, ok := s.reg.Status(graph)
-	if !ok || graph == "" {
+	if !ok {
 		return fmt.Errorf("graph %q is not registered", graph)
 	}
 	if err := cp.Matches(st.Vertices, st.Edges, st.Directed); err != nil {
 		return err
 	}
 	return cp.MatchesWeights(st.WeightFP)
-}
-
-// adoptCheckpoint finds the registered graph a graph-less legacy
-// checkpoint belongs to: the unique fingerprint match, or "" when the
-// match is absent or ambiguous.
-func (s *server) adoptCheckpoint(cp *wasp.Checkpoint) string {
-	var match string
-	for _, name := range s.reg.Graphs() {
-		st, ok := s.reg.Status(name)
-		if ok && cp.Matches(st.Vertices, st.Edges, st.Directed) == nil {
-			if match != "" {
-				return "" // ambiguous
-			}
-			match = name
-		}
-	}
-	return match
 }
 
 func (s *server) routes() *http.ServeMux {
@@ -549,15 +382,10 @@ func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		target = &tv
 	}
 
-	if s.ckpt != nil {
-		s.ckpt.acquire(name, uint32(src))
-	}
 	res, err := s.reg.Run(r.Context(), name, wasp.Vertex(src))
-	if s.ckpt != nil {
-		s.ckpt.release(name, uint32(src), err == nil && res != nil && res.Complete)
-	}
 	switch {
 	case errors.Is(err, wasp.ErrOverloaded):
+		s.prom.shed.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter())
 		http.Error(w, "overloaded", http.StatusTooManyRequests)
 		return
@@ -759,13 +587,9 @@ type readyResponse struct {
 	// when -brownout=false). A browned-out daemon stays ready — it is
 	// alive, shedding by design, and seconds from recovery; failing the
 	// probe would dump its load onto the rest of the fleet instead.
-	Pressure *float64 `json:"pressure,omitempty"`
-	Brownout string   `json:"brownout,omitempty"`
-	// CheckpointingDisabled is true while checkpoint writes are skipped
-	// in the ENOSPC degraded mode (crash recovery is paused; serving is
-	// not).
-	CheckpointingDisabled bool                      `json:"checkpointing_disabled,omitempty"`
-	Graphs                map[string]graphReadiness `json:"graphs"`
+	Pressure *float64                  `json:"pressure,omitempty"`
+	Brownout string                    `json:"brownout,omitempty"`
+	Graphs   map[string]graphReadiness `json:"graphs"`
 }
 
 type graphReadiness struct {
@@ -786,9 +610,6 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		p := s.gov.Pressure()
 		resp.Pressure = &p
 		resp.Brownout = s.gov.Level().String()
-	}
-	if s.ckpt != nil {
-		resp.CheckpointingDisabled = s.ckpt.disabled.Load()
 	}
 	for _, name := range s.reg.Graphs() {
 		st, ok := s.reg.Status(name)
@@ -823,14 +644,11 @@ type statsResponse struct {
 	P99MS       float64 `json:"p99_ms"`
 	Draining    bool    `json:"draining"`
 
-	// Checkpointing (zeros / -1 when -checkpoint-dir is unset).
-	CheckpointWrites        int64   `json:"checkpoint_writes"`
-	LastCheckpointAgeMS     float64 `json:"last_checkpoint_age_ms"` // -1: never
-	Recovered               int64   `json:"recovered"`
-	RecoverySkipped         int64   `json:"recovery_skipped"`
-	CheckpointWriteErrors   int64   `json:"checkpoint_write_errors"`
-	CheckpointWritesSkipped int64   `json:"checkpoint_writes_skipped"`
-	CheckpointingDisabled   bool    `json:"checkpointing_disabled"`
+	// Startup cache-snapshot recovery (zeros when -checkpoint-dir is
+	// unset): files resumed into the cache, and files dropped because
+	// their graph is gone or its fingerprint changed.
+	Recovered       int64 `json:"recovered"`
+	RecoverySkipped int64 `json:"recovery_skipped"`
 
 	// Governor is the overload governor's state (absent when
 	// -brownout=false).
@@ -912,29 +730,21 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.poolStats()
 	resp := statsResponse{
-		Sessions:            st.Sessions,
-		Idle:                st.Idle,
-		InFlight:            st.InFlight,
-		Queued:              st.Queued,
-		Completed:           st.Completed,
-		Degraded:            st.Degraded,
-		Shed:                st.Shed,
-		Quarantined:         st.Quarantined,
-		P50MS:               float64(st.P50) / float64(time.Millisecond),
-		P99MS:               float64(st.P99) / float64(time.Millisecond),
-		Draining:            s.draining.Load(),
-		LastCheckpointAgeMS: -1,
-		Reloads:             s.reg.ReloadStats(),
-		Graphs:              map[string]graphStats{},
-	}
-	if s.ckpt != nil {
-		resp.CheckpointWrites = s.ckpt.writes.Load()
-		resp.LastCheckpointAgeMS = s.ckpt.ageMS()
-		resp.Recovered = s.ckpt.recovered.Load()
-		resp.RecoverySkipped = s.ckpt.skipped.Load()
-		resp.CheckpointWriteErrors = s.ckpt.writeErrs.Load()
-		resp.CheckpointWritesSkipped = s.ckpt.skippedWrites.Load()
-		resp.CheckpointingDisabled = s.ckpt.disabled.Load()
+		Sessions:        st.Sessions,
+		Idle:            st.Idle,
+		InFlight:        st.InFlight,
+		Queued:          st.Queued,
+		Completed:       st.Completed,
+		Degraded:        st.Degraded,
+		Shed:            st.Shed,
+		Quarantined:     st.Quarantined,
+		P50MS:           float64(st.P50) / float64(time.Millisecond),
+		P99MS:           float64(st.P99) / float64(time.Millisecond),
+		Draining:        s.draining.Load(),
+		Recovered:       s.recovered.Load(),
+		RecoverySkipped: s.recoverySkipped.Load(),
+		Reloads:         s.reg.ReloadStats(),
+		Graphs:          map[string]graphStats{},
 	}
 	if s.gov != nil {
 		gs := s.gov.Stats()
@@ -970,11 +780,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// drain flips the server to draining (healthz 503, no new queries) and
-// closes the registry within ctx: in-flight solves finish or deadline
-// out.
+// drain flips the server to draining (healthz 503, no new queries),
+// stops the scrubber, writes the cache snapshot when -checkpoint-dir is
+// set, and closes the registry within ctx: in-flight solves finish or
+// deadline out. main calls it once the HTTP server has shut down, so
+// the snapshot includes every query that was answered.
 func (s *server) drain(ctx context.Context) error {
 	s.draining.Store(true)
+	s.scrub.Close()
+	if s.ckptDir != "" {
+		n := s.snapshotCache(ctx)
+		log.Printf("snapshot: %d cached result(s) written to %s", n, s.ckptDir)
+	}
 	return s.reg.Close(ctx)
 }
 
@@ -1005,12 +822,11 @@ func main() {
 		brownout    = flag.Bool("brownout", true, "adaptive overload governor: degrade through cache-only admission and clamped deadlines before shedding")
 		degradedDdl = flag.Duration("degraded-deadline", 50*time.Millisecond, "per-solve budget clamped onto queries while browned out (partial results, not errors)")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "persist in-flight query state here and resume it on restart")
-		ckptEvery = flag.Duration("checkpoint-interval", 2*time.Second, "interval between checkpoints of each in-flight solve")
-		cacheMB   = flag.Int("cache-mb", 64, "memory budget in MiB for the result cache (0 disables caching)")
+		ckptDir = flag.String("checkpoint-dir", "", "write the result cache here on drain and load it back into the cache on start")
+		cacheMB = flag.Int("cache-mb", 64, "memory budget in MiB for the result cache (0 disables caching)")
 
 		auditRate  = flag.Float64("audit-sample", 0.01, "fraction of served results certified online against the graph; failures quarantine the graph version (0 disables auditing)")
-		scrubEvery = flag.Duration("scrub-interval", time.Minute, "cadence of the background integrity scrubber over checkpoints, bundles, and cache (0 disables scrubbing)")
+		scrubEvery = flag.Duration("scrub-interval", time.Minute, "cadence of the background integrity scrubber over bundles and cache (0 disables scrubbing)")
 
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof, /debug/traces and /admin on this address (off when empty; keep it private)")
 		slowTraceN = flag.Int("slow-traces", 8, "retain the scheduler traces of this many slowest solves for /debug/traces")
@@ -1023,13 +839,10 @@ func main() {
 		log.Fatal(err)
 	}
 	opt := wasp.Options{Algorithm: a, Workers: *workers, Delta: uint32(*delta)}
-	var tracker *ckptTracker
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		tracker = newCkptTracker(*ckptDir)
-		opt.CheckpointInterval = *ckptEvery
 	}
 	// Every session gets its own Observer (the counters cost a few
 	// cache lines; the trace buffer is bounded by -trace-capacity), so
@@ -1064,9 +877,8 @@ func main() {
 	// Sampled online audits: a slice of served results is re-certified
 	// against the graph (full certificate for complete solves, upper
 	// bound for degraded ones). A failed audit means the active version
-	// served a wrong answer — the registry quarantines it, and the
-	// daemon additionally distrusts that graph's checkpoints: snapshots
-	// from a solver that lied must never seed a recovery.
+	// served a wrong answer — the registry quarantines it and drops its
+	// cache entries, so no snapshot ever carries them.
 	var audit *wasp.AuditorOptions
 	if *auditRate > 0 {
 		audit = &wasp.AuditorOptions{SampleRate: *auditRate, Async: true}
@@ -1086,16 +898,7 @@ func main() {
 		History:      *history,
 		DrainTimeout: *drainWait,
 		Audit:        audit,
-		ConfigureOptions: func(graph string, _ uint64, o wasp.Options) wasp.Options {
-			if tracker != nil {
-				o.CheckpointSink = tracker.sinkFor(graph)
-			}
-			return o
-		},
 		OnEvent: func(ev wasp.RegistryEvent) {
-			if ev.Kind == wasp.EventQuarantined && tracker != nil {
-				tracker.distrust(ev.Graph)
-			}
 			if ev.Err != nil {
 				log.Printf("registry: %s v%d %s: %v", ev.Graph, ev.Version, ev.Kind, ev.Err)
 				return
@@ -1112,19 +915,18 @@ func main() {
 	if retrySecs < 1 {
 		retrySecs = 1
 	}
-	s := &server{reg: reg, cache: cache, ckpt: tracker, prom: prom, gov: gov, retry: strconv.Itoa(retrySecs)}
+	s := &server{reg: reg, cache: cache, ckptDir: *ckptDir, prom: prom, gov: gov, retry: strconv.Itoa(retrySecs)}
 
 	// Background integrity scrubber: on a jittered cadence, re-decode
-	// every checkpoint and bundle file and re-hash every resident cache
-	// entry, so at-rest corruption is found before a recovery or reload
-	// trips over it. Corrupt files are renamed aside to .bad; corruption
-	// is counted and logged, never fatal.
-	if *scrubEvery > 0 && (*ckptDir != "" || *bundleDir != "" || cache != nil) {
+	// every bundle file and re-hash every resident cache entry, so
+	// at-rest corruption is found before a reload or a query trips over
+	// it. Corrupt files are renamed aside to .bad; corruption is
+	// counted and logged, never fatal.
+	if *scrubEvery > 0 && (*bundleDir != "" || cache != nil) {
 		s.scrub = wasp.NewScrubber(wasp.ScrubberOptions{
-			CheckpointDir: *ckptDir,
-			BundleDir:     *bundleDir,
-			Cache:         cache,
-			Interval:      *scrubEvery,
+			BundleDir: *bundleDir,
+			Cache:     cache,
+			Interval:  *scrubEvery,
 			OnCorrupt: func(path string, err error) {
 				if err != nil {
 					log.Printf("scrub: corrupt artifact %s: %v (renamed .bad)", path, err)
@@ -1174,12 +976,16 @@ func main() {
 		log.Printf("debug server (pprof, traces, admin) on %s", *debugAddr)
 	}
 
-	// Resume solves a previous process left checkpointed, in the
-	// background and through the normal admission path, while the
+	// Load the cache snapshot the previous process wrote on drain, in
+	// the background and through the normal admission path, while the
 	// server is already accepting fresh queries.
-	if tracker != nil {
-		go s.recoverCheckpoints(ctx)
-	}
+	recovery := make(chan struct{})
+	go func() {
+		defer close(recovery)
+		if s.ckptDir != "" {
+			s.recoverCheckpoints(ctx)
+		}
+	}()
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
@@ -1193,23 +999,25 @@ func main() {
 	}
 
 	// Graceful drain: stop admitting (healthz flips to 503 for load
-	// balancers), let in-flight requests finish or deadline out, then
-	// exit 0. A second signal kills the process the default way.
+	// balancers), let in-flight requests finish or deadline out, write
+	// the cache snapshot, then exit 0. A second signal kills the
+	// process the default way.
 	stop()
 	log.Printf("signal received; draining (timeout %v)", *drainWait)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	s.draining.Store(true)
-	st := s.poolStats()
 	if err := srv.Shutdown(dctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	s.scrub.Close()
-	if err := reg.Close(dctx); err != nil {
+	// Recovery stops at the cancelled ctx; waiting for it keeps its
+	// file removals from racing the snapshot's writes.
+	<-recovery
+	if err := s.drain(dctx); err != nil {
 		log.Printf("registry drain: %v", err)
 	}
-	log.Printf("drained: %d completed, %d degraded, %d shed, %d quarantined",
-		st.Completed, st.Degraded, st.Shed, st.Quarantined)
+	log.Printf("drained: %d completed, %d degraded, %d shed, %d sessions quarantined",
+		prom.completed.Load(), prom.degraded.Load(), prom.shed.Load(), prom.quarantined.Load())
 }
 
 func loadGraph(name, file string, n int, seed uint64) (*wasp.Graph, error) {

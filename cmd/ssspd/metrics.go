@@ -16,51 +16,80 @@ import (
 	"wasp"
 )
 
-// promState is the daemon's Prometheus surface: a solve-latency
-// histogram fed synchronously by the pool's OnSolve hook, plus
-// scrape-time reads of the pool gauges, checkpoint counters and the
-// scheduler counters the per-session Observers accumulate. Everything
-// is hand-rolled text exposition format — the repo takes no
-// dependencies, and the format is small enough to emit (and lint, see
-// the tests) directly.
+// promState is the daemon's Prometheus surface: the solve and
+// mutation latency histograms and the counters the daemon keeps
+// itself, plus scrape-time reads of the pool gauges, cache, governor
+// and auditor. Everything is hand-rolled text exposition format — the
+// repo takes no dependencies, and the format is small enough to emit
+// (and lint, see the tests) directly.
 type promState struct {
-	// buckets are the histogram upper bounds in seconds, ascending.
-	// counts[i] is the number of solves with latency ≤ buckets[i]
-	// (non-cumulative per bucket; cumulated at render), counts[len] is
-	// the +Inf overflow.
-	buckets []float64
-	counts  []atomic.Int64
-	sumNS   atomic.Int64
-	solves  atomic.Int64
+	solves    histogram // fed by the pools' OnSolve hook
+	mutations histogram // apply, smoke solve and swap of each PATCH batch
+	mutKinds  [3]atomic.Int64
 
-	// Mutation-batch metrics: applied ops by MutationKind, plus an
-	// update-latency histogram (apply, smoke solve and swap) over the
-	// same bucket bounds as the solve histogram so the two are directly
-	// comparable — the operational form of the update-vs-fresh
-	// crossover question.
-	mutKinds   [3]atomic.Int64
-	mutCounts  []atomic.Int64
-	mutSumNS   atomic.Int64
-	mutBatches atomic.Int64
+	// Solve outcomes, 429s and scheduler work are counted here rather
+	// than summed over the live pools: every reload and mutation builds
+	// a new pool whose counters start at zero, and a Prometheus counter
+	// must never fall. (/stats keeps the per-pool point-in-time view.)
+	completed   atomic.Int64
+	degraded    atomic.Int64
+	shed        atomic.Int64
+	quarantined atomic.Int64
+	schedMu     sync.Mutex
+	sched       wasp.ObserverTotals // summed per-run observer totals
 
 	slow *slowTraces
 }
 
 // defaultBuckets spans 100µs..10s — a kron solve on a laptop sits near
 // the bottom, a billion-edge road graph near the top.
-var defaultBuckets = []float64{
+var defaultBuckets = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-func newPromState(slowN int) *promState {
-	p := &promState{
-		buckets:   defaultBuckets,
-		counts:    make([]atomic.Int64, len(defaultBuckets)+1),
-		mutCounts: make([]atomic.Int64, len(defaultBuckets)+1),
-		slow:      newSlowTraces(slowN),
+// histogram is a latency histogram over defaultBuckets: per-bucket
+// (non-cumulative) counts with the +Inf overflow last, and the sum.
+type histogram struct {
+	counts [len(defaultBuckets) + 1]atomic.Int64
+	sumNS  atomic.Int64
+}
+
+func (h *histogram) observe(d time.Duration) {
+	h.counts[sort.SearchFloat64s(defaultBuckets[:], d.Seconds())].Add(1)
+	h.sumNS.Add(int64(d))
+}
+
+func (h *histogram) write(w io.Writer, name, help string) {
+	counts := make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
 	}
-	return p
+	writeHistogram(w, name, help, defaultBuckets[:], counts,
+		float64(h.sumNS.Load())/float64(time.Second))
+}
+
+// writeHistogram renders one histogram family: cumulative buckets over
+// bounds (seconds), the mandatory +Inf bucket, _sum and _count. counts
+// are per bucket and non-cumulative, the +Inf overflow last; _count is
+// their total, so it always equals the +Inf bucket.
+func writeHistogram(w io.Writer, name, help string, bounds []float64, counts []int64, sum float64) {
+	family(w, name, help, "histogram")
+	cum := int64(0)
+	for i, ub := range bounds {
+		cum += counts[i]
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(ub), cum)
+	}
+	for _, c := range counts[len(bounds):] {
+		cum += c
+	}
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(sum))
+	fmt.Fprintf(w, "%s_count %d\n", name, cum)
+}
+
+func newPromState(slowN int) *promState {
+	return &promState{slow: newSlowTraces(slowN)}
 }
 
 // onMutation records one successfully applied mutation batch: the
@@ -69,42 +98,59 @@ func (p *promState) onMutation(kinds [3]int64, elapsed time.Duration) {
 	for i, n := range kinds {
 		p.mutKinds[i].Add(n)
 	}
-	i := sort.SearchFloat64s(p.buckets, elapsed.Seconds())
-	p.mutCounts[i].Add(1)
-	p.mutSumNS.Add(int64(elapsed))
-	p.mutBatches.Add(1)
+	p.mutations.observe(elapsed)
 }
 
-// onSolve is the pool's OnSolve hook: record the latency observation
-// and, when this solve ranks among the slowest seen, capture its
-// scheduler trace while the session (and so its Observer) is still
-// checked out and quiescent.
+// onSolve is the pool's OnSolve hook: record the latency, the outcome
+// and the run's scheduler counters, and, when this solve ranks among
+// the slowest seen, capture its scheduler trace — all while the
+// session (and so its Observer) is still checked out and quiescent.
 func (p *promState) onSolve(o wasp.SolveObservation) {
-	sec := o.Elapsed.Seconds()
-	i := sort.SearchFloat64s(p.buckets, sec)
-	p.counts[i].Add(1)
-	p.sumNS.Add(int64(o.Elapsed))
-	p.solves.Add(1)
+	p.solves.observe(o.Elapsed)
+	switch {
+	case o.Err != nil:
+	case o.Complete:
+		p.completed.Add(1)
+	default:
+		p.degraded.Add(1)
+	}
+	p.quarantined.Add(int64(o.Quarantined))
+	if o.Observer != nil {
+		run, dropped := o.Observer.Totals(), o.Observer.DroppedEvents()
+		p.schedMu.Lock()
+		p.sched.Solves++
+		p.sched.DroppedEvents += dropped
+		m := &p.sched.Metrics
+		m.Relaxations += run.Relaxations
+		m.Improvements += run.Improvements
+		m.StaleSkips += run.StaleSkips
+		m.StealAttempts += run.StealAttempts
+		m.StealHits += run.StealHits
+		m.StealRounds += run.StealRounds
+		m.ChunksDrained += run.ChunksDrained
+		m.BucketAdvances += run.BucketAdvances
+		for i := range run.TierHits {
+			m.TierHits[i] += run.TierHits[i]
+		}
+		p.schedMu.Unlock()
+	}
 	p.slow.consider(o)
 }
 
 // promSnapshot gathers every metric family the daemon exports. Split
 // from rendering so tests can assert on values without re-parsing.
 type promSnapshot struct {
-	stats    wasp.PoolStats
+	stats    wasp.PoolStats // gauges only; the counters below outlive pools
 	draining bool
+
+	completed, degraded, shed, sessionsQuarantined int64
 
 	graphs  []graphSample
 	reloads wasp.RegistryReloadStats
 
-	ckptWrites        int64
-	ckptAgeSec        float64 // -1: never
-	ckptRecovered     int64
-	ckptSkipped       int64
-	ckptWriteErrs     int64
-	ckptSkippedWrites int64
-	ckptDisabled      bool
-	hasCkpt           bool
+	ckptRecovered int64
+	ckptSkipped   int64
+	hasCkpt       bool
 
 	cache    wasp.CacheStats
 	hasCache bool
@@ -120,12 +166,11 @@ type promSnapshot struct {
 
 	quarantined       int64 // quarantine transitions since startup
 	graphsQuarantined int   // graphs currently in the quarantined state
-	ckptDistrusted    int64 // checkpoint files renamed .bad after quarantines
 
 	scanQuarantined int64 // rescan skips of quarantined bundle files
 
-	observed  wasp.ObserverTotals // summed over every session observer
-	observers int
+	observed     wasp.ObserverTotals // summed over every observed solve
+	hasObservers bool                // the pools run observed sessions
 }
 
 // graphSample is one graph's labeled gauge values.
@@ -136,10 +181,17 @@ type graphSample struct {
 
 func (s *server) snapshot() promSnapshot {
 	snap := promSnapshot{
-		stats:      s.poolStats(),
-		draining:   s.draining.Load(),
-		reloads:    s.reg.ReloadStats(),
-		ckptAgeSec: -1,
+		stats:               s.poolStats(),
+		draining:            s.draining.Load(),
+		completed:           s.prom.completed.Load(),
+		degraded:            s.prom.degraded.Load(),
+		shed:                s.prom.shed.Load(),
+		sessionsQuarantined: s.prom.quarantined.Load(),
+		reloads:             s.reg.ReloadStats(),
+		ckptRecovered:       s.recovered.Load(),
+		ckptSkipped:         s.recoverySkipped.Load(),
+		hasCkpt:             s.ckptDir != "",
+		hasObservers:        len(s.reg.Observers()) > 0,
 	}
 	for _, name := range s.reg.Graphs() {
 		if st, ok := s.reg.Status(name); ok {
@@ -151,18 +203,6 @@ func (s *server) snapshot() promSnapshot {
 	}
 	snap.quarantined = s.reg.Quarantined()
 	sort.Slice(snap.graphs, func(i, j int) bool { return snap.graphs[i].name < snap.graphs[j].name })
-	if s.ckpt != nil {
-		snap.hasCkpt = true
-		snap.ckptWrites = s.ckpt.writes.Load()
-		snap.ckptRecovered = s.ckpt.recovered.Load()
-		snap.ckptSkipped = s.ckpt.skipped.Load()
-		snap.ckptWriteErrs = s.ckpt.writeErrs.Load()
-		snap.ckptSkippedWrites = s.ckpt.skippedWrites.Load()
-		snap.ckptDisabled = s.ckpt.disabled.Load()
-		if ms := s.ckpt.ageMS(); ms >= 0 {
-			snap.ckptAgeSec = ms / 1000
-		}
-	}
 	if s.cache != nil {
 		snap.hasCache = true
 		snap.cache = s.cache.Stats()
@@ -179,72 +219,32 @@ func (s *server) snapshot() promSnapshot {
 		snap.hasScrub = true
 		snap.scrub = s.scrub.Stats()
 	}
-	if s.ckpt != nil {
-		snap.ckptDistrusted = s.ckpt.distrusted.Load()
-	}
 	if s.scan != nil {
 		snap.scanQuarantined = s.scan.quarantineSkips()
 	}
-	for _, obs := range s.reg.Observers() {
-		c := obs.Cumulative()
-		snap.observers++
-		snap.observed.Solves += c.Solves
-		snap.observed.DroppedEvents += c.DroppedEvents
-		m := &snap.observed.Metrics
-		m.Relaxations += c.Metrics.Relaxations
-		m.Improvements += c.Metrics.Improvements
-		m.StaleSkips += c.Metrics.StaleSkips
-		m.StealAttempts += c.Metrics.StealAttempts
-		m.StealHits += c.Metrics.StealHits
-		m.StealRounds += c.Metrics.StealRounds
-		m.ChunksDrained += c.Metrics.ChunksDrained
-		m.BucketAdvances += c.Metrics.BucketAdvances
-		for i := range c.Metrics.TierHits {
-			m.TierHits[i] += c.Metrics.TierHits[i]
-		}
-	}
+	s.prom.schedMu.Lock()
+	snap.observed = s.prom.sched
+	s.prom.schedMu.Unlock()
 	return snap
 }
 
 // handleMetrics renders the Prometheus text exposition format, one
-// HELP/TYPE header per family. Histogram buckets are cumulative and
-// end with the mandatory +Inf bucket equal to _count.
+// HELP/TYPE header per family.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.prom.writeHistogram(w)
+	s.prom.writeHistograms(w)
 	writeProm(w, s.snapshot())
 }
 
-func (p *promState) writeHistogram(w io.Writer) {
-	fmt.Fprint(w, "# HELP ssspd_solve_duration_seconds Latency of pool solves, admission wait included.\n")
-	fmt.Fprint(w, "# TYPE ssspd_solve_duration_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range p.buckets {
-		cum += p.counts[i].Load()
-		fmt.Fprintf(w, "ssspd_solve_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub), cum)
-	}
-	cum += p.counts[len(p.buckets)].Load()
-	fmt.Fprintf(w, "ssspd_solve_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ssspd_solve_duration_seconds_sum %s\n",
-		formatFloat(float64(p.sumNS.Load())/float64(time.Second)))
-	fmt.Fprintf(w, "ssspd_solve_duration_seconds_count %d\n", p.solves.Load())
-
+func (p *promState) writeHistograms(w io.Writer) {
+	p.solves.write(w, "ssspd_solve_duration_seconds",
+		"Wall time of pool solves in this process, admission queue wait excluded (cache hits never solve).")
 	family(w, "ssspd_mutations_total", "Applied graph mutations by kind.", "counter")
 	for i, kind := range []wasp.MutationKind{wasp.MutInsert, wasp.MutDelete, wasp.MutSetWeight} {
 		fmt.Fprintf(w, "ssspd_mutations_total{kind=%q} %d\n", kind.String(), p.mutKinds[i].Load())
 	}
-	fmt.Fprint(w, "# HELP ssspd_mutation_duration_seconds Latency of graph mutation batches: apply, smoke solve and version swap.\n")
-	fmt.Fprint(w, "# TYPE ssspd_mutation_duration_seconds histogram\n")
-	cum = 0
-	for i, ub := range p.buckets {
-		cum += p.mutCounts[i].Load()
-		fmt.Fprintf(w, "ssspd_mutation_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub), cum)
-	}
-	cum += p.mutCounts[len(p.buckets)].Load()
-	fmt.Fprintf(w, "ssspd_mutation_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ssspd_mutation_duration_seconds_sum %s\n",
-		formatFloat(float64(p.mutSumNS.Load())/float64(time.Second)))
-	fmt.Fprintf(w, "ssspd_mutation_duration_seconds_count %d\n", p.mutBatches.Load())
+	p.mutations.write(w, "ssspd_mutation_duration_seconds",
+		"Latency of graph mutation batches: apply, smoke solve and version swap.")
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
@@ -308,10 +308,10 @@ func writeProm(w io.Writer, snap promSnapshot) {
 		gauge(w, "ssspd_retry_after_seconds", "Current adaptive Retry-After hint from queue drain rate (0: no estimate yet).", g.RetryAfter.Seconds())
 	}
 
-	counter(w, "ssspd_solves_completed_total", "Solves that ran to full completion.", st.Completed)
-	counter(w, "ssspd_solves_degraded_total", "Solves that returned a partial result at deadline.", st.Degraded)
-	counter(w, "ssspd_requests_shed_total", "Queries rejected by admission control.", st.Shed)
-	counter(w, "ssspd_sessions_quarantined_total", "Sessions rebuilt after a contained panic.", st.Quarantined)
+	counter(w, "ssspd_solves_completed_total", "Solves that ran to full completion.", snap.completed)
+	counter(w, "ssspd_solves_degraded_total", "Solves that returned a partial result at deadline.", snap.degraded)
+	counter(w, "ssspd_requests_shed_total", "Queries rejected by admission control (answered 429).", snap.shed)
+	counter(w, "ssspd_sessions_quarantined_total", "Sessions rebuilt after a contained panic.", snap.sessionsQuarantined)
 
 	gauge(w, "ssspd_quarantined", "Graphs whose active version is currently quarantined by a failed result audit.", float64(snap.graphsQuarantined))
 	counter(w, "ssspd_quarantines_total", "Graph versions quarantined by failed result audits since startup.", snap.quarantined)
@@ -326,37 +326,24 @@ func writeProm(w io.Writer, snap promSnapshot) {
 	if snap.hasScrub {
 		sc := snap.scrub
 		counter(w, "ssspd_scrub_passes_total", "Completed integrity scrub passes.", sc.Passes)
-		counter(w, "ssspd_scrub_files_total", "Checkpoint and bundle files re-decoded by the scrubber.", sc.Files)
+		counter(w, "ssspd_scrub_files_total", "Bundle files re-decoded by the scrubber.", sc.Files)
 		counter(w, "ssspd_scrub_corrupt_total", "Corrupt artifacts found: files renamed .bad plus cache entries evicted.", sc.Corrupt+sc.CacheCorrupt)
 		counter(w, "ssspd_scrub_cache_entries_total", "Resident cache entries re-hashed by the scrubber.", sc.CacheEntries)
 	}
 	if snap.hasCkpt {
-		counter(w, "ssspd_checkpoints_distrusted_total", "Checkpoint files renamed .bad because their graph was quarantined.", snap.ckptDistrusted)
-	}
-
-	if snap.hasCkpt {
-		counter(w, "ssspd_checkpoint_writes_total", "Checkpoint files successfully written.", snap.ckptWrites)
-		counter(w, "ssspd_checkpoints_recovered_total", "Interrupted solves resumed at startup.", snap.ckptRecovered)
-		counter(w, "ssspd_checkpoints_skipped_total", "Startup checkpoints dropped for fingerprint mismatch.", snap.ckptSkipped)
-		gauge(w, "ssspd_checkpoint_last_age_seconds", "Seconds since the last checkpoint write (-1: never).", snap.ckptAgeSec)
-		counter(w, "ssspd_checkpoint_write_errors_total", "Checkpoint saves that failed after retries.", snap.ckptWriteErrs)
-		counter(w, "ssspd_checkpoint_writes_skipped_total", "Checkpoint saves skipped while checkpointing was disabled.", snap.ckptSkippedWrites)
-		disabled := 0.0
-		if snap.ckptDisabled {
-			disabled = 1
-		}
-		gauge(w, "ssspd_checkpoint_disabled", "1 while checkpointing is disabled in the ENOSPC degraded mode.", disabled)
+		counter(w, "ssspd_checkpoints_recovered_total", "Cache snapshot files resumed into the result cache at startup.", snap.ckptRecovered)
+		counter(w, "ssspd_checkpoints_skipped_total", "Startup snapshot files dropped because their graph is gone or its fingerprint changed.", snap.ckptSkipped)
 	}
 
 	if snap.hasCache {
 		writeCacheProm(w, snap.cache)
 	}
 
-	if snap.observers == 0 {
+	if !snap.hasObservers {
 		return
 	}
 	m := snap.observed.Metrics
-	counter(w, "ssspd_scheduler_solves_observed_total", "Solves absorbed by the session observers.", snap.observed.Solves)
+	counter(w, "ssspd_scheduler_solves_observed_total", "Solves run on an observed session.", snap.observed.Solves)
 	counter(w, "ssspd_scheduler_relaxations_total", "Edge relaxations attempted across all solves.", m.Relaxations)
 	counter(w, "ssspd_scheduler_improvements_total", "Relaxations that lowered a distance.", m.Improvements)
 	counter(w, "ssspd_scheduler_stale_skips_total", "Vertices skipped by the staleness check.", m.StaleSkips)
@@ -389,20 +376,14 @@ func writeCacheProm(w io.Writer, cs wasp.CacheStats) {
 	gauge(w, "ssspd_cache_bytes", "Bytes of cached results charged against the budget.", float64(cs.Bytes))
 	gauge(w, "ssspd_cache_max_bytes", "Configured cache memory budget.", float64(cs.MaxBytes))
 
-	fmt.Fprint(w, "# HELP ssspd_cache_hit_duration_seconds Serve latency of exact cache hits (copy-and-return; no solver time).\n")
-	fmt.Fprint(w, "# TYPE ssspd_cache_hit_duration_seconds histogram\n")
 	h := cs.HitLatency
-	cum := int64(0)
+	bounds := make([]float64, len(h.Bounds))
 	for i, ub := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub.Seconds()), cum)
+		bounds[i] = ub.Seconds()
 	}
-	if len(h.Counts) > len(h.Bounds) {
-		cum += h.Counts[len(h.Bounds)]
-	}
-	fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_sum %s\n", formatFloat(h.Sum.Seconds()))
-	fmt.Fprintf(w, "ssspd_cache_hit_duration_seconds_count %d\n", h.Count)
+	writeHistogram(w, "ssspd_cache_hit_duration_seconds",
+		"Serve latency of exact cache hits (copy-and-return; no solver time).",
+		bounds, h.Counts, h.Sum.Seconds())
 }
 
 // slowTraces retains the Chrome traces and summaries of the N slowest

@@ -10,8 +10,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"wasp"
+	"wasp/internal/fault"
 )
 
 // newObservedServer builds a server the way main does: per-session
@@ -425,9 +427,9 @@ func TestLintRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestMetricsResilienceFamilies: a server with the governor and the
-// checkpoint tracker wired exports the overload/brownout and
-// disk-degradation families, lint-clean, with sane initial values.
+// TestMetricsResilienceFamilies: a server with the governor and a
+// snapshot directory wired exports the overload/brownout and
+// snapshot-recovery families, lint-clean, with sane initial values.
 func TestMetricsResilienceFamilies(t *testing.T) {
 	g := wasp.FromEdges(4, true, []wasp.Edge{
 		{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 2},
@@ -439,7 +441,7 @@ func TestMetricsResilienceFamilies(t *testing.T) {
 		Cache:   cache,
 		Pool:    wasp.PoolOptions{Sessions: 1, Governor: gov},
 	})
-	s := &server{reg: reg, cache: cache, gov: gov, ckpt: newCkptTracker(t.TempDir())}
+	s := &server{reg: reg, cache: cache, gov: gov, ckptDir: t.TempDir()}
 	ts := newHTTPServer(t, s)
 
 	getJSON(t, ts.URL+"/sssp?source=0", http.StatusOK, nil)
@@ -486,15 +488,13 @@ func TestMetricsResilienceFamilies(t *testing.T) {
 		t.Fatalf("retry-after hint %v, want > 0 after a solve", ra)
 	}
 
-	// Disk-degradation families: enabled, no errors, nothing skipped.
-	if got := get("ssspd_checkpoint_write_errors_total"); got != 0 {
-		t.Fatalf("checkpoint write errors %v, want 0", got)
+	// Snapshot-recovery families: present, nothing recovered or skipped
+	// from an empty directory.
+	if got := get("ssspd_checkpoints_recovered_total"); got != 0 {
+		t.Fatalf("checkpoints recovered %v, want 0", got)
 	}
-	if got := get("ssspd_checkpoint_writes_skipped_total"); got != 0 {
-		t.Fatalf("checkpoint writes skipped %v, want 0", got)
-	}
-	if got := get("ssspd_checkpoint_disabled"); got != 0 {
-		t.Fatalf("checkpoint disabled gauge %v, want 0", got)
+	if got := get("ssspd_checkpoints_skipped_total"); got != 0 {
+		t.Fatalf("checkpoints skipped %v, want 0", got)
 	}
 
 	// Scanner quarantine outcome: present even with no scanner faults.
@@ -504,5 +504,113 @@ func TestMetricsResilienceFamilies(t *testing.T) {
 	// Cache reuse-shed counter: present, zero while the ladder is full.
 	if got := get("ssspd_cache_reuse_shed_total"); got != 0 {
 		t.Fatalf("cache reuse sheds %v, want 0", got)
+	}
+}
+
+// TestMetricsCountersMonotonic: a PATCH /graph and a reload each build
+// a new pool whose own counters start at zero, yet no _total series of
+// /metrics may fall across them — the daemon counts solves, 429s,
+// session rebuilds and scheduler work itself. Checked scrape to scrape
+// through queries, a contained solver panic, a mutation and a reload.
+func TestMetricsCountersMonotonic(t *testing.T) {
+	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := newPromState(0)
+	cache := wasp.NewCache(wasp.CacheOptions{})
+	reg := newRegistry(t, "kron", g, wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 2},
+		Pool: wasp.PoolOptions{
+			Sessions:     1,
+			Observe:      &wasp.ObserverConfig{},
+			OnSolve:      prom.onSolve,
+			RetryBackoff: time.Millisecond,
+		},
+		Cache: cache,
+	})
+	s := &server{reg: reg, prom: prom, cache: cache}
+	ts := newHTTPServer(t, s)
+
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		out := map[string]float64{}
+		for _, f := range lintPromText(t, string(body)) {
+			if f.typ != "counter" && f.typ != "histogram" {
+				continue
+			}
+			for series, v := range f.samples {
+				out[series] = v
+			}
+		}
+		return out
+	}
+	query := func(srcs ...int) {
+		t.Helper()
+		for _, src := range srcs {
+			getJSON(t, fmt.Sprintf("%s/sssp?source=%d", ts.URL, src), http.StatusOK, nil)
+		}
+	}
+	var scrapes []map[string]float64
+	scrapes = append(scrapes, scrape())
+
+	query(0, 1, 2)
+	// One solver panic, contained: the session is rebuilt and the query
+	// retried.
+	fault.Activate(fault.NewPlan(fault.Config{Seed: 7, PanicOnHit: 1, PanicPoint: fault.SolveStart}))
+	query(3)
+	fault.Deactivate()
+	scrapes = append(scrapes, scrape())
+
+	to, w := g.OutNeighbors(0)
+	body := fmt.Sprintf(`{"mutations":[{"op":"set-weight","from":0,"to":%d,"weight":%d}]}`, to[0], w[0]+1)
+	req, err := http.NewRequest(http.MethodPatch, ts.URL+"/graph", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH /graph: status %d", resp.StatusCode)
+	}
+	scrapes = append(scrapes, scrape())
+
+	query(4, 5)
+	scrapes = append(scrapes, scrape())
+	if err := reg.LoadGraph(t.Context(), "kron", g); err != nil {
+		t.Fatal(err)
+	}
+	scrapes = append(scrapes, scrape())
+	query(6)
+	scrapes = append(scrapes, scrape())
+
+	for i := 1; i < len(scrapes); i++ {
+		for series, prev := range scrapes[i-1] {
+			if cur, ok := scrapes[i][series]; !ok || cur < prev {
+				t.Errorf("scrape %d: %s fell from %v to %v (present %v)", i, series, prev, cur, ok)
+			}
+		}
+	}
+	last := scrapes[len(scrapes)-1]
+	for series, want := range map[string]float64{
+		"ssspd_solves_completed_total":          7,
+		"ssspd_sessions_quarantined_total":      1,
+		"ssspd_scheduler_solves_observed_total": 7,
+	} {
+		if got := last[series]; got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+	if last["ssspd_scheduler_relaxations_total"] <= scrapes[1]["ssspd_scheduler_relaxations_total"] {
+		t.Error("scheduler relaxations did not grow after the mutation and the reload")
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 // TestRetryDisk pins the retry helper's contract: transient errors are
 // retried up to the attempt budget, success stops the loop, and ENOSPC
-// short-circuits immediately — a full disk is a mode change for the
-// caller, not something millisecond backoffs can wait out.
+// short-circuits immediately — a full disk is not something
+// millisecond backoffs can wait out, so the caller stops writing.
 func TestRetryDisk(t *testing.T) {
 	calls := 0
 	err := retryDisk(3, time.Microsecond, func() error {
@@ -50,102 +50,10 @@ func TestRetryDisk(t *testing.T) {
 	}
 }
 
-// TestCheckpointSinkENOSPCDegradedMode: a full disk flips the tracker
-// into the skip-everything degraded mode (never an error surfaced to
-// serving), probe writes re-test the disk every probeEvery, and the
-// first probe that lands re-enables checkpointing — the self-healing
-// loop, driven end to end with injected ENOSPC.
-func TestCheckpointSinkENOSPCDegradedMode(t *testing.T) {
-	g := testGraph()
-	c := newCkptTracker(t.TempDir())
-	c.probeEvery = 20 * time.Millisecond
-	sink := c.sinkFor("test")
-	cp := testCheckpoint(g)
-
-	fault.Activate(fault.NewPlan(fault.Config{Seed: 7, DiskWriteENOSPC: 1000}))
-	defer fault.Deactivate()
-
-	sink(cp)
-	if !c.disabled.Load() {
-		t.Fatal("ENOSPC did not disable checkpointing")
-	}
-	if got := c.writeErrs.Load(); got != 1 {
-		t.Fatalf("writeErrs = %d, want 1", got)
-	}
-
-	// Inside the probe window every write is skipped without touching
-	// the disk.
-	sink(cp)
-	sink(cp)
-	if got := c.skippedWrites.Load(); got != 2 {
-		t.Fatalf("skippedWrites = %d, want 2", got)
-	}
-
-	// A probe while the disk is still full fails and stays disabled.
-	time.Sleep(c.probeEvery + 5*time.Millisecond)
-	sink(cp)
-	if !c.disabled.Load() {
-		t.Fatal("failed probe re-enabled checkpointing")
-	}
-	if got := c.writeErrs.Load(); got != 2 {
-		t.Fatalf("writeErrs after failed probe = %d, want 2", got)
-	}
-
-	// Space returns: the next probe succeeds and re-enables.
-	fault.Deactivate()
-	time.Sleep(c.probeEvery + 5*time.Millisecond)
-	sink(cp)
-	if c.disabled.Load() {
-		t.Fatal("successful probe did not re-enable checkpointing")
-	}
-	if got := c.writes.Load(); got != 1 {
-		t.Fatalf("writes = %d, want 1 (the probe)", got)
-	}
-	if _, err := os.Stat(c.path("test", cp.Source)); err != nil {
-		t.Fatalf("probe write left no file: %v", err)
-	}
-
-	// And steady state is back: writes go straight through.
-	sink(cp)
-	if got := c.writes.Load(); got != 2 {
-		t.Fatalf("writes after recovery = %d, want 2", got)
-	}
-}
-
-// TestCheckpointSinkTransientWriteError: a write that keeps failing
-// with a non-ENOSPC error burns its retries, bumps the error counter,
-// and gives up on this snapshot only — checkpointing stays enabled and
-// the next interval's write succeeds.
-func TestCheckpointSinkTransientWriteError(t *testing.T) {
-	g := testGraph()
-	c := newCkptTracker(t.TempDir())
-	sink := c.sinkFor("test")
-	cp := testCheckpoint(g)
-
-	fault.Activate(fault.NewPlan(fault.Config{Seed: 1, DiskWriteErr: 1000}))
-	sink(cp)
-	fault.Deactivate()
-
-	if c.disabled.Load() {
-		t.Fatal("transient write errors must not disable checkpointing")
-	}
-	if got := c.writeErrs.Load(); got != 1 {
-		t.Fatalf("writeErrs = %d, want 1", got)
-	}
-	if got := c.writes.Load(); got != 0 {
-		t.Fatalf("writes = %d, want 0", got)
-	}
-
-	sink(cp)
-	if got := c.writes.Load(); got != 1 {
-		t.Fatalf("writes after faults cleared = %d, want 1", got)
-	}
-}
-
 // TestRecoveryReadFaultsNeverFatal: recovery reads retry transient
-// faults, and a file whose reads keep failing is dropped — logged and
-// counted, never fatal, never blocking the daemon from serving. Once
-// the disk behaves, a clean file recovers normally.
+// faults, and a file whose reads keep failing gets its one attempt and
+// is dropped — logged, never fatal, never blocking the daemon from
+// serving. Once the disk behaves, a clean file recovers normally.
 func TestRecoveryReadFaultsNeverFatal(t *testing.T) {
 	g := testGraph()
 	dir := t.TempDir()
@@ -153,33 +61,35 @@ func TestRecoveryReadFaultsNeverFatal(t *testing.T) {
 	if err := wasp.SaveCheckpoint(file, testCheckpoint(g)); err != nil {
 		t.Fatal(err)
 	}
+	cache := wasp.NewCache(wasp.CacheOptions{})
 	reg := newRegistry(t, "test", g, wasp.RegistryOptions{
 		Options: wasp.Options{Workers: 2},
+		Cache:   cache,
 		Pool:    wasp.PoolOptions{Sessions: 1},
 	})
-	s := &server{reg: reg, ckpt: newCkptTracker(dir)}
+	s := &server{reg: reg, cache: cache, ckptDir: dir}
 	ctx := context.Background()
 
 	fault.Activate(fault.NewPlan(fault.Config{Seed: 2, DiskReadErr: 1000}))
 	s.recoverCheckpoints(ctx)
 	fault.Deactivate()
 
-	if got := s.ckpt.recovered.Load(); got != 0 {
+	if got := s.recovered.Load(); got != 0 {
 		t.Fatalf("recovered = %d under all-reads-fail, want 0", got)
 	}
 	if _, err := os.Stat(file); !os.IsNotExist(err) {
-		t.Fatalf("unreadable checkpoint not dropped: %v", err)
+		t.Fatalf("unreadable snapshot file not dropped: %v", err)
 	}
 	if !reg.Servable() {
 		t.Fatal("registry stopped serving after recovery read faults")
 	}
 
-	// A clean disk: the same checkpoint recovers end to end.
+	// A clean disk: the same file recovers end to end.
 	if err := wasp.SaveCheckpoint(file, testCheckpoint(g)); err != nil {
 		t.Fatal(err)
 	}
 	s.recoverCheckpoints(ctx)
-	if got := s.ckpt.recovered.Load(); got != 1 {
+	if got := s.recovered.Load(); got != 1 {
 		t.Fatalf("recovered = %d after faults cleared, want 1", got)
 	}
 }

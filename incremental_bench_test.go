@@ -140,7 +140,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalApply isolates the overlay rebuild itself —
+// BenchmarkIncrementalApply isolates the graph rebuild itself —
 // validating the batch and merging it into a fresh canonical CSR —
 // the fixed cost every mutation pays before any repair runs.
 func BenchmarkIncrementalApply(b *testing.B) {

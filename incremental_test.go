@@ -161,21 +161,22 @@ func TestIncrementalDifferential(t *testing.T) {
 					t.Parallel()
 					r := rand.New(rand.NewSource(int64(len(mode))*31 + int64(pol.p)*7 + 5))
 					const n = 160
-					overlay := NewOverlay(incrGraph(r, n, directed))
+					g := incrGraph(r, n, directed)
 					opt := Options{Algorithm: AlgoWasp, Workers: 4, Steal: pol.p}
 					source := Vertex(0)
 
-					prior := append([]uint32(nil), oracleDist(t, overlay.Snapshot(), source)...)
+					prior := append([]uint32(nil), oracleDist(t, g, source)...)
 					for round := 0; round < rounds; round++ {
-						batch := incrBatch(r, overlay.Snapshot(), mode, 1+r.Intn(5))
+						batch := incrBatch(r, g, mode, 1+r.Intn(5))
 						if len(batch) == 0 {
 							continue
 						}
-						delta, err := overlay.Mutate(batch)
+						ng, delta, err := ApplyMutations(g, batch)
 						if err != nil {
 							t.Fatalf("round %d: %v", round, err)
 						}
-						sess, err := NewSession(overlay.Snapshot(), opt)
+						g = ng
+						sess, err := NewSession(g, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -186,10 +187,10 @@ func TestIncrementalDifferential(t *testing.T) {
 						if !res.Complete {
 							t.Fatalf("round %d: incremental solve incomplete", round)
 						}
-						want := oracleDist(t, overlay.Snapshot(), source)
+						want := oracleDist(t, g, source)
 						if i := firstDiff(res.Dist, want); i >= 0 {
-							t.Fatalf("round %d (%s, gen %d): incremental dist[%d] = %d, fresh solve %d",
-								round, mode, delta.Generation(), i, res.Dist[i], want[i])
+							t.Fatalf("round %d (%s): incremental dist[%d] = %d, fresh solve %d",
+								round, mode, i, res.Dist[i], want[i])
 						}
 						prior = append(prior[:0], res.Dist...)
 					}
@@ -209,19 +210,19 @@ func FuzzIncremental(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, directed bool) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		const n = 64
-		overlay := NewOverlay(incrGraph(r, n, directed))
+		g := incrGraph(r, n, directed)
 		source := Vertex(0)
-		prior := oracleDist(t, overlay.Snapshot(), source)
+		prior := oracleDist(t, g, source)
 
-		batch := incrBatch(r, overlay.Snapshot(), "mixed", 1+int(size%8))
+		batch := incrBatch(r, g, "mixed", 1+int(size%8))
 		if len(batch) == 0 {
 			t.Skip("no applicable mutations")
 		}
-		delta, err := overlay.Mutate(batch)
+		ng, delta, err := ApplyMutations(g, batch)
 		if err != nil {
 			t.Fatalf("mutate: %v", err)
 		}
-		sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 2})
+		sess, err := NewSession(ng, Options{Algorithm: AlgoWasp, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func FuzzIncremental(f *testing.F) {
 		if err != nil {
 			t.Fatalf("RunIncremental: %v", err)
 		}
-		want := oracleDist(t, overlay.Snapshot(), source)
+		want := oracleDist(t, ng, source)
 		if i := firstDiff(res.Dist, want); i >= 0 {
 			t.Fatalf("incremental dist[%d] = %d, fresh solve %d", i, res.Dist[i], want[i])
 		}
@@ -279,12 +280,11 @@ func TestMetamorphicNonImprovingInsert(t *testing.T) {
 			t.Fatal("no insertable non-improving edge found")
 		}
 
-		overlay := NewOverlay(g)
-		delta, err := overlay.Mutate([]Mutation{{Kind: MutInsert, From: u, To: v, W: w}})
+		ng, delta, err := ApplyMutations(g, []Mutation{{Kind: MutInsert, From: u, To: v, W: w}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 4})
+		sess, err := NewSession(ng, Options{Algorithm: AlgoWasp, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,8 +333,7 @@ func TestMetamorphicNonTreeDeleteNoop(t *testing.T) {
 			t.Fatal("no slack edge found")
 		}
 
-		overlay := NewOverlay(g)
-		delta, err := overlay.Mutate([]Mutation{{Kind: MutDelete, From: pick.From, To: pick.To}})
+		ng, delta, err := ApplyMutations(g, []Mutation{{Kind: MutDelete, From: pick.From, To: pick.To}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +341,7 @@ func TestMetamorphicNonTreeDeleteNoop(t *testing.T) {
 			t.Fatalf("directed=%v: deleting slack edge (%d,%d) invalidated %d vertices (err %v), want 0",
 				directed, pick.From, pick.To, inv, err)
 		}
-		sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 4})
+		sess, err := NewSession(ng, Options{Algorithm: AlgoWasp, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,32 +381,31 @@ func TestMetamorphicInverseRestores(t *testing.T) {
 			}
 		}
 
-		overlay := NewOverlay(g)
 		run := func(delta *MutationDelta, seed []uint32) []uint32 {
 			t.Helper()
-			sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 4})
+			sess, err := NewSession(delta.Graph(), Options{Algorithm: AlgoWasp, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-				res, err := sess.RunIncremental(context.Background(), source, delta, seed)
+			res, err := sess.RunIncremental(context.Background(), source, delta, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return append([]uint32(nil), res.Dist...)
 		}
 
-		d1, err := overlay.Mutate(batch)
+		mg, d1, err := ApplyMutations(g, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mid := run(d1, prior)
-		d2, err := overlay.Mutate(inverse)
+		bg, d2, err := ApplyMutations(mg, inverse)
 		if err != nil {
 			t.Fatal(err)
 		}
 		back := run(d2, mid)
 
-		if got := overlay.Snapshot().WeightFingerprint(); got != origFP {
+		if got := bg.WeightFingerprint(); got != origFP {
 			t.Fatalf("directed=%v: batch+inverse fingerprint %x != original %x", directed, got, origFP)
 		}
 		if i := firstDiff(back, prior); i >= 0 {
@@ -417,21 +415,20 @@ func TestMetamorphicInverseRestores(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// API contract tests: Session/Pool/Overlay validation, and the
+// API contract tests: Session/Pool validation, and the
 // registry's mutate-and-swap lifecycle.
 // ---------------------------------------------------------------------------
 
 func TestRunIncrementalValidation(t *testing.T) {
 	g := chain(8, 1)
-	overlay := NewOverlay(g)
-	delta, err := overlay.Mutate([]Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 3}})
+	ng, delta, err := ApplyMutations(g, []Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prior := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
 	ctx := context.Background()
 
-	sess, err := NewSession(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 2})
+	sess, err := NewSession(ng, Options{Algorithm: AlgoWasp, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,25 +456,31 @@ func TestRunIncrementalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracleDist(t, overlay.Snapshot(), 0)
+	want := oracleDist(t, ng, 0)
 	if i := firstDiff(res.Dist, want); i >= 0 {
 		t.Fatalf("dist[%d] = %d, want %d", i, res.Dist[i], want[i])
 	}
 }
 
+// TestPoolRunIncremental: a pool runs an incremental repair as
+// Pool.Resume of the delta's seed, and the seed's post-mutation
+// fingerprint keeps a pool on the pre-mutation graph from accepting it.
 func TestPoolRunIncremental(t *testing.T) {
 	g := chain(16, 2)
-	overlay := NewOverlay(g)
 	prior := oracleDist(t, g, 0)
 
-	delta, err := overlay.Mutate([]Mutation{
+	ng, delta, err := ApplyMutations(g, []Mutation{
 		{Kind: MutSetWeight, From: 0, To: 1, W: 9},
 		{Kind: MutInsert, From: 0, To: 3, W: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(overlay.Snapshot(), Options{Algorithm: AlgoWasp, Workers: 2},
+	seed, err := delta.Seed(0, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(ng, Options{Algorithm: AlgoWasp, Workers: 2},
 		PoolOptions{Sessions: 1, QueueDepth: 8, QueueWait: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -487,11 +490,11 @@ func TestPoolRunIncremental(t *testing.T) {
 		defer cancel()
 		_ = pool.Close(ctx)
 	}()
-	res, err := pool.RunIncremental(context.Background(), 0, delta, prior)
+	res, err := pool.Resume(context.Background(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracleDist(t, overlay.Snapshot(), 0)
+	want := oracleDist(t, ng, 0)
 	if i := firstDiff(res.Dist, want); i >= 0 {
 		t.Fatalf("dist[%d] = %d, want %d", i, res.Dist[i], want[i])
 	}
@@ -507,45 +510,8 @@ func TestPoolRunIncremental(t *testing.T) {
 		defer cancel()
 		_ = stalePool.Close(ctx)
 	}()
-	if _, err := stalePool.RunIncremental(context.Background(), 0, delta, prior); err == nil {
-		t.Error("pre-mutation pool accepted a post-mutation delta")
-	}
-}
-
-func TestOverlayConcurrentSnapshots(t *testing.T) {
-	overlay := NewOverlay(chain(64, 1))
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g := overlay.Snapshot()
-			// A snapshot is immutable: its edge count and fingerprint
-			// must be internally consistent no matter how many batches
-			// land concurrently.
-			if g.NumVertices() != 64 {
-				panic("snapshot vertex count changed")
-			}
-			_ = g.WeightFingerprint()
-			_ = oracleDist(t, g, 0)
-		}
-	}()
-	w := Weight(2)
-	for i := 0; i < 20; i++ {
-		if _, err := overlay.Mutate([]Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: w}}); err != nil {
-			t.Fatal(err)
-		}
-		w++
-	}
-	close(stop)
-	<-done
-	if got := overlay.Generation(); got != 20 {
-		t.Fatalf("generation = %d, want 20", got)
+	if _, err := stalePool.Resume(context.Background(), seed); err == nil {
+		t.Error("pre-mutation pool accepted a post-mutation seed")
 	}
 }
 

@@ -37,7 +37,10 @@ type Worker struct {
 	// tier structure.
 	TierHits [MaxStealTiers]int64
 
-	_ [32]byte // pad to reduce false sharing between adjacent workers
+	// Pad the 120 bytes of counters to 128, a whole number of 64-byte
+	// cache lines, so adjacent workers in a Set never share a line.
+	// TestWorkerCacheLinePadded guards the size when fields change.
+	_ [8]byte
 }
 
 // AddQueueOp accrues shared-queue time.

@@ -3,7 +3,17 @@ package metrics
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestWorkerCacheLinePadded pins the padding promise: a Worker is a
+// whole number of 64-byte cache lines, so workers updating adjacent
+// Set entries never write to the same line.
+func TestWorkerCacheLinePadded(t *testing.T) {
+	if size := unsafe.Sizeof(Worker{}); size%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Worker{}) = %d, not a multiple of 64", size)
+	}
+}
 
 func TestTotals(t *testing.T) {
 	s := NewSet(3)

@@ -69,6 +69,18 @@ func TestObserverOnSession(t *testing.T) {
 	if want := runTotals[0].Relaxations + runTotals[1].Relaxations; cum.Metrics.Relaxations != want {
 		t.Fatalf("cumulative relaxations = %d, want %d (sum of runs)", cum.Metrics.Relaxations, want)
 	}
+
+	// A pre-cancelled run does no work, and the per-run view says so
+	// instead of repeating the previous run's counters.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sess.Run(ctx, src); err == nil {
+		t.Fatal("pre-cancelled run returned no error")
+	}
+	if tot := obs.Totals(); tot.Relaxations != 0 || len(obs.Events()) != 0 {
+		t.Fatalf("pre-cancelled run reports %d relaxations and %d events, want none",
+			tot.Relaxations, len(obs.Events()))
+	}
 }
 
 // TestObserverPerWorkerSumsToAggregate: every counter in the

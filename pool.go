@@ -129,6 +129,10 @@ type SolveObservation struct {
 	Elapsed  time.Duration
 	Complete bool  // the solve ran to termination
 	Err      error // as Pool.Run would return it (nil for degraded)
+	// Quarantined is how many times this query's session was torn down
+	// and rebuilt after a worker panic (0, 1, or 2 when the retry
+	// panicked too) — the per-query share of PoolStats.Quarantined.
+	Quarantined int
 	// Observer is the solving session's observer, quiescent for the
 	// duration of the callback. Nil unless PoolOptions.Observe is set.
 	Observer *Observer
@@ -339,30 +343,6 @@ func (p *Pool) Resume(ctx context.Context, cp *Checkpoint) (*Result, error) {
 	return p.admitAndSolve(ctx, Vertex(cp.Source), cp)
 }
 
-// RunIncremental solves the pool's (post-mutation) graph from source
-// by repairing prior, the exact distances of a finished pre-mutation
-// solve from the same source (see Session.RunIncremental). The repair
-// seed carries the post-mutation fingerprint, so on a cache-backed
-// pool the result is stored — and looked up — under the new graph's
-// identity; pre-mutation cache entries are unreachable by
-// construction.
-func (p *Pool) RunIncremental(ctx context.Context, source Vertex, delta *MutationDelta, prior []uint32) (*Result, error) {
-	if delta == nil {
-		return nil, fmt.Errorf("wasp: RunIncremental with nil delta")
-	}
-	if err := delta.matchesGraph(p.g); err != nil {
-		return nil, err
-	}
-	if err := p.WarmStartSupported(); err != nil {
-		return nil, err
-	}
-	cp, err := delta.Seed(source, prior)
-	if err != nil {
-		return nil, err
-	}
-	return p.Resume(ctx, cp)
-}
-
 // governorAdmit feeds the governor one admission attempt and returns
 // the ladder rung the attempt is subject to. At BrownoutShed the shed
 // is counted here (pool and governor counters both) and the caller
@@ -470,7 +450,7 @@ func (p *Pool) admitAndSolve(ctx context.Context, source Vertex, warm *Checkpoin
 
 	p.inFlight.Add(1)
 	start := time.Now()
-	res, err := p.solveOn(ctx, &sess, source, warm)
+	res, rebuilt, err := p.solveOn(ctx, &sess, source, warm)
 	elapsed := time.Since(start)
 	// Detach before the session goes back into rotation: once another
 	// caller grabs it, the session-owned distance array is theirs.
@@ -501,11 +481,12 @@ func (p *Pool) admitAndSolve(ctx context.Context, source Vertex, warm *Checkpoin
 			hookErr = nil
 		}
 		p.conf.OnSolve(SolveObservation{
-			Source:   source,
-			Elapsed:  elapsed,
-			Complete: res != nil && res.Complete,
-			Err:      hookErr,
-			Observer: sess.Observer(),
+			Source:      source,
+			Elapsed:     elapsed,
+			Complete:    res != nil && res.Complete,
+			Err:         hookErr,
+			Quarantined: rebuilt,
+			Observer:    sess.Observer(),
 		})
 	}
 	p.slots <- sess // sess may have been rebuilt by quarantine
@@ -538,8 +519,9 @@ func (p *Pool) SessionObservers() []*Observer { return p.observers }
 // solveOn runs one query on *sess, applying the deadline budget and
 // the quarantine-and-retry policy. On a panic the poisoned session is
 // replaced in *sess — the caller returns whatever session is there to
-// the pool, keeping the pool at full strength.
-func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm *Checkpoint) (*Result, error) {
+// the pool, keeping the pool at full strength. rebuilt counts the
+// replacements.
+func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm *Checkpoint) (res *Result, rebuilt int, err error) {
 	run := func() (*Result, error) {
 		rctx := ctx
 		d := p.conf.Deadline
@@ -562,10 +544,10 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 		return (*sess).Run(rctx, source)
 	}
 
-	res, err := run()
+	res, err = run()
 	var pe *parallel.PanicError
 	if !errors.As(err, &pe) {
-		return res, err
+		return res, 0, err
 	}
 
 	// Quarantine: the panicked session's preallocated state is
@@ -576,7 +558,7 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 	p.quarantined.Add(1)
 	fresh, nerr := p.rebuildSession(*sess)
 	if nerr != nil {
-		return nil, fmt.Errorf("wasp: rebuilding quarantined session: %w", nerr)
+		return nil, 1, fmt.Errorf("wasp: rebuilding quarantined session: %w", nerr)
 	}
 	*sess = fresh
 
@@ -585,7 +567,7 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 	select {
 	case <-time.After(backoff):
 	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
+		return nil, 1, fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 	}
 	res, err = run()
 	if errors.As(err, &pe) {
@@ -595,9 +577,9 @@ func (p *Pool) solveOn(ctx context.Context, sess **Session, source Vertex, warm 
 		if fresh, nerr := p.rebuildSession(*sess); nerr == nil {
 			*sess = fresh
 		}
-		return nil, err
+		return nil, 2, err
 	}
-	return res, err
+	return res, 1, err
 }
 
 // rebuildSession constructs a replacement for a quarantined session,

@@ -68,11 +68,6 @@ type RegistryOptions struct {
 	// version (reload, rollback, removal) invalidates its scope
 	// atomically with the swap.
 	Cache *Cache
-	// ConfigureOptions, when non-nil, customizes Options per deployment
-	// — called once while building each candidate version's pool, before
-	// the smoke solve. The canonical use is binding per-graph sinks
-	// (checkpoint files keyed by graph name) without a second registry.
-	ConfigureOptions func(name string, version uint64, opt Options) Options
 	// History is how many retired versions each graph retains for
 	// explicit rollback (default 2). Retired versions hold their graph
 	// and artifacts but no pool; rollback rebuilds one.
@@ -391,9 +386,6 @@ func (r *Registry) entry(name string, create bool) (*graphEntry, error) {
 // session) covers the admission machinery.
 func (r *Registry) buildVersion(ctx context.Context, b *Bundle) (*graphVersion, error) {
 	opt := r.conf.Options
-	if r.conf.ConfigureOptions != nil {
-		opt = r.conf.ConfigureOptions(b.Manifest.Name, b.Manifest.Version, opt)
-	}
 	popt := r.conf.Pool
 	// The scope is set unconditionally: it keys cache entries when a
 	// cache is attached and names the deployment in audit failures
@@ -872,6 +864,28 @@ func (r *Registry) Resume(ctx context.Context, name string, cp *Checkpoint) (*Re
 		}
 		return res, err
 	}
+}
+
+// CachedResults returns the complete exact results the cache holds for
+// name's active version, in that version's vertex ids — the form
+// Resume accepts, so a snapshot written on shutdown re-enters the cache
+// on the next start. Nil without a cache, for an unknown graph, or for
+// a quarantined version. The checkpoints are live cache data:
+// read-only for the caller.
+func (r *Registry) CachedResults(name string) []*Checkpoint {
+	if r.conf.Cache == nil {
+		return nil
+	}
+	r.mu.RLock()
+	var v *graphVersion
+	if e := r.graphs[name]; e != nil && e.active != nil && !e.active.quarantined {
+		v = e.active
+	}
+	r.mu.RUnlock()
+	if v == nil {
+		return nil
+	}
+	return r.conf.Cache.harvestScope(cacheScopeFor(name, v.version), fingerprintOf(v.g))
 }
 
 // Graphs returns the registered graph names, unordered.

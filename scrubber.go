@@ -11,17 +11,12 @@ import (
 	"time"
 
 	"wasp/internal/bundle"
-	"wasp/internal/checkpoint"
 	"wasp/internal/fault"
 )
 
 // ScrubberOptions configures a Scrubber. All fields are optional; a
-// scrubber with no directories and no cache is a no-op.
+// scrubber with no directory and no cache is a no-op.
 type ScrubberOptions struct {
-	// CheckpointDir, when non-empty, is re-walked every pass: each
-	// *.wsck file is fully re-decoded (magic, version, CRC trailer) and
-	// renamed to <name>.bad on corruption.
-	CheckpointDir string
 	// BundleDir, when non-empty, is re-walked every pass: each *.wspb
 	// file is fully re-decoded (every section frame and CRC) and
 	// renamed to <name>.bad on corruption.
@@ -53,17 +48,17 @@ type ScrubberStats struct {
 }
 
 // Scrubber is the background integrity layer for at-rest artifacts:
-// on a jittered cadence it re-reads every checkpoint and bundle file
-// and re-hashes every resident cache entry, so bit rot is found by the
-// scrubber instead of by a recovery path at the worst possible moment.
+// on a jittered cadence it re-reads every bundle file and re-hashes
+// every resident cache entry, so bit rot is found by the scrubber
+// instead of by a reload at the worst possible moment.
 // A corrupt file is renamed aside to <name>.bad — out of every
 // producer and consumer glob, preserved for forensics — and counted;
 // corruption is never fatal and never stops a pass.
 //
 // Scrubbing is read-only with respect to healthy artifacts: files are
 // decoded from a private in-memory copy, so the scrubber composes with
-// concurrent checkpoint writers (whose atomic rename it either
-// pre- or post-dates) and injected disk faults can never make it
+// concurrent bundle publishers (whose atomic rename it either pre- or
+// post-dates) and injected disk faults can never make it
 // mangle a good file.
 type Scrubber struct {
 	opt ScrubberOptions
@@ -117,17 +112,14 @@ func (s *Scrubber) Close() {
 	s.wg.Wait()
 }
 
-// ScrubOnce runs one full pass synchronously — checkpoint dir, bundle
-// dir, cache — and returns how many artifacts (files plus cache
-// entries) were found corrupt. Safe to call concurrently with the
+// ScrubOnce runs one full pass synchronously — bundle dir, then cache
+// — and returns how many artifacts (files plus cache entries) were
+// found corrupt. Safe to call concurrently with the
 // background loop and with producers writing new artifacts.
 func (s *Scrubber) ScrubOnce() int {
 	bad := 0
-	if s.opt.CheckpointDir != "" {
-		bad += s.scrubDir(s.opt.CheckpointDir, "*.wsck", decodeCheckpointBytes)
-	}
 	if s.opt.BundleDir != "" {
-		bad += s.scrubDir(s.opt.BundleDir, "*.wspb", decodeBundleBytes)
+		bad += s.scrubBundles()
 	}
 	if s.opt.Cache != nil {
 		scanned, corrupt := s.opt.Cache.ScrubEntries()
@@ -146,9 +138,9 @@ func (s *Scrubber) ScrubOnce() int {
 	return bad
 }
 
-// scrubDir re-validates every file matching pattern under dir.
-func (s *Scrubber) scrubDir(dir, pattern string, decode func([]byte) error) int {
-	files, err := filepath.Glob(filepath.Join(dir, pattern))
+// scrubBundles fully re-decodes every *.wspb file under BundleDir.
+func (s *Scrubber) scrubBundles() int {
+	files, err := filepath.Glob(filepath.Join(s.opt.BundleDir, "*.wspb"))
 	if err != nil {
 		return 0
 	}
@@ -167,7 +159,7 @@ func (s *Scrubber) scrubDir(dir, pattern string, decode func([]byte) error) int 
 			data[len(data)/2] ^= 0x40
 		}
 		s.files.Add(1)
-		derr := decode(data)
+		_, derr := bundle.Read(bytes.NewReader(data))
 		if derr == nil {
 			continue
 		}
@@ -186,16 +178,6 @@ func (s *Scrubber) scrubDir(dir, pattern string, decode func([]byte) error) int 
 		}
 	}
 	return bad
-}
-
-func decodeCheckpointBytes(data []byte) error {
-	_, err := checkpoint.Decode(bytes.NewReader(data))
-	return err
-}
-
-func decodeBundleBytes(data []byte) error {
-	_, err := bundle.Read(bytes.NewReader(data))
-	return err
 }
 
 // Stats snapshots the scrubber's counters. Nil-safe (zero stats).

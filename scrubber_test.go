@@ -34,17 +34,9 @@ func fullBundle(n int, w Weight) *Bundle {
 	}
 }
 
-func writeTestCheckpoint(t *testing.T, path string, n int, w Weight) {
+func writeTestBundle(t *testing.T, path string) {
 	t.Helper()
-	dist := make([]uint32, n)
-	for i := range dist {
-		dist[i] = uint32(i) * w
-	}
-	cp := &Checkpoint{
-		Source: 0, GraphVertices: n, GraphEdges: int64(n - 1),
-		Directed: true, Dist: dist,
-	}
-	if err := SaveCheckpoint(path, cp); err != nil {
+	if err := SaveBundle(path, fullBundle(8, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,17 +71,14 @@ func sectionOffset(t *testing.T, data []byte, kind uint32) int {
 // TestScrubberCleanPass: healthy artifacts survive a pass untouched.
 func TestScrubberCleanPass(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveBundle(filepath.Join(dir, "g.wspb"), fullBundle(8, 2)); err != nil {
-		t.Fatal(err)
-	}
-	writeTestCheckpoint(t, filepath.Join(dir, "ckpt-g-0.wsck"), 8, 2)
+	writeTestBundle(t, filepath.Join(dir, "g.wspb"))
 
-	s := NewScrubber(ScrubberOptions{CheckpointDir: dir, BundleDir: dir})
+	s := NewScrubber(ScrubberOptions{BundleDir: dir})
 	if bad := s.ScrubOnce(); bad != 0 {
 		t.Fatalf("clean pass found %d corrupt artifacts: %s", bad, s.Stats().LastError)
 	}
 	st := s.Stats()
-	if st.Passes != 1 || st.Files != 2 || st.Corrupt != 0 {
+	if st.Passes != 1 || st.Files != 1 || st.Corrupt != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "g.wspb")); err != nil {
@@ -97,17 +86,14 @@ func TestScrubberCleanPass(t *testing.T) {
 	}
 }
 
-// TestScrubberCorruptArtifacts is the corruption table: a WSCK flip, a
-// flip inside every WSPB section kind, and a truncation. Each corrupt
-// file must be detected by a full re-decode and renamed aside to .bad.
+// TestScrubberCorruptArtifacts is the corruption table: a flip inside
+// every WSPB section kind. Each corrupt file must be detected by a
+// full re-decode and renamed aside to .bad.
 func TestScrubberCorruptArtifacts(t *testing.T) {
 	var bundleImage []byte
 	{
-		dir := t.TempDir()
-		p := filepath.Join(dir, "b.wspb")
-		if err := SaveBundle(p, fullBundle(8, 2)); err != nil {
-			t.Fatal(err)
-		}
+		p := filepath.Join(t.TempDir(), "b.wspb")
+		writeTestBundle(t, p)
 		var err error
 		if bundleImage, err = os.ReadFile(p); err != nil {
 			t.Fatal(err)
@@ -120,51 +106,27 @@ func TestScrubberCorruptArtifacts(t *testing.T) {
 		secRelabel  = 4
 	)
 	cases := []struct {
-		name    string
-		file    string
-		corrupt func(t *testing.T, path string)
+		name string
+		kind uint32
 	}{
-		{"wsck-flip", "ckpt-g-0.wsck", func(t *testing.T, path string) {
-			flipByteAt(t, path, -1)
-		}},
-		{"wsck-truncated", "ckpt-g-0.wsck", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"wspb-manifest", "b.wspb", func(t *testing.T, path string) {
-			flipByteAt(t, path, sectionOffset(t, bundleImage, secManifest))
-		}},
-		{"wspb-graph", "b.wspb", func(t *testing.T, path string) {
-			flipByteAt(t, path, sectionOffset(t, bundleImage, secGraph))
-		}},
-		{"wspb-checkpoint", "b.wspb", func(t *testing.T, path string) {
-			flipByteAt(t, path, sectionOffset(t, bundleImage, secCheckpt))
-		}},
-		{"wspb-relabel", "b.wspb", func(t *testing.T, path string) {
-			flipByteAt(t, path, sectionOffset(t, bundleImage, secRelabel))
-		}},
+		{"wspb-manifest", secManifest},
+		{"wspb-graph", secGraph},
+		{"wspb-checkpoint", secCheckpt},
+		{"wspb-relabel", secRelabel},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, tc.file)
-			if tc.file == "ckpt-g-0.wsck" {
-				writeTestCheckpoint(t, path, 8, 2)
-			} else if err := os.WriteFile(path, bundleImage, 0o644); err != nil {
+			path := filepath.Join(dir, "b.wspb")
+			if err := os.WriteFile(path, bundleImage, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(t, path)
+			flipByteAt(t, path, sectionOffset(t, bundleImage, tc.kind))
 
 			var gotPath atomic.Pointer[string]
 			s := NewScrubber(ScrubberOptions{
-				CheckpointDir: dir,
-				BundleDir:     dir,
-				OnCorrupt:     func(p string, err error) { gotPath.Store(&p) },
+				BundleDir: dir,
+				OnCorrupt: func(p string, err error) { gotPath.Store(&p) },
 			})
 			if bad := s.ScrubOnce(); bad != 1 {
 				t.Fatalf("ScrubOnce = %d corrupt, want 1", bad)
@@ -190,15 +152,12 @@ func TestScrubberCorruptArtifacts(t *testing.T) {
 	}
 }
 
-// flipByteAt flips one byte of the file (at off, or mid-file when -1).
+// flipByteAt flips the file's byte at off.
 func flipByteAt(t *testing.T, path string, off int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if off < 0 {
-		off = len(data) / 2
 	}
 	data[off] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -252,11 +211,11 @@ func TestScrubberCacheScrub(t *testing.T) {
 // any real disk damage.
 func TestScrubberFileCorruptFault(t *testing.T) {
 	dir := t.TempDir()
-	writeTestCheckpoint(t, filepath.Join(dir, "ckpt-g-0.wsck"), 8, 2)
+	writeTestBundle(t, filepath.Join(dir, "g.wspb"))
 
 	fault.Activate(fault.NewPlan(fault.Config{Seed: 4, FileCorrupt: 1000}))
 	defer fault.Deactivate()
-	s := NewScrubber(ScrubberOptions{CheckpointDir: dir})
+	s := NewScrubber(ScrubberOptions{BundleDir: dir})
 	if bad := s.ScrubOnce(); bad != 1 {
 		t.Fatalf("ScrubOnce = %d, want the injected flip detected", bad)
 	}
@@ -266,8 +225,8 @@ func TestScrubberFileCorruptFault(t *testing.T) {
 // loop must run passes and shut down cleanly.
 func TestScrubberLoop(t *testing.T) {
 	dir := t.TempDir()
-	writeTestCheckpoint(t, filepath.Join(dir, "ckpt-g-0.wsck"), 8, 2)
-	s := NewScrubber(ScrubberOptions{CheckpointDir: dir, Interval: time.Millisecond})
+	writeTestBundle(t, filepath.Join(dir, "g.wspb"))
+	s := NewScrubber(ScrubberOptions{BundleDir: dir, Interval: time.Millisecond})
 	s.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().Passes == 0 {

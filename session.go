@@ -193,7 +193,12 @@ func (s *Session) run(ctx context.Context, source Vertex, warm *Checkpoint) (*Re
 
 	if err := ctx.Err(); err != nil {
 		// Pre-cancelled or pre-expired: honor the partial-result
-		// contract without spinning up a single worker goroutine.
+		// contract without spinning up a single worker goroutine. The
+		// observer's per-run view is cleared so it reports this run's
+		// (empty) work, not the previous run's.
+		if s.obs != nil {
+			s.obs.resetRun()
+		}
 		return s.preCancelled(source), fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 
