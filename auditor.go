@@ -43,9 +43,9 @@ type AuditorOptions struct {
 
 // AuditFailure describes one certificate violation on a served result.
 type AuditFailure struct {
-	// Scope identifies the serving pool — the Registry uses
-	// "name@version", the same identity that keys cache entries.
-	Scope string
+	// Pool is the pool that served the result — the Registry matches
+	// it against its active versions to pick the one to quarantine.
+	Pool *Pool
 	// Source is the query whose result failed.
 	Source Vertex
 	// Complete reports which certificate was violated: the full
@@ -71,8 +71,7 @@ type AuditorStats struct {
 // detached copy in async mode (the caller owns the original) and the
 // caller's slice in sync mode (certified before Run returns it).
 type auditJob struct {
-	g        *Graph
-	scope    string
+	pool     *Pool
 	source   Vertex
 	dist     []uint32
 	complete bool
@@ -114,6 +113,9 @@ type Auditor struct {
 	dropped atomic.Int64
 
 	lastErr atomic.Pointer[string]
+	// deployment, set by the Registry, labels a failing pool in
+	// LastError with its "name@version".
+	deployment func(*Pool) string
 }
 
 // NewAuditor returns an Auditor with opt applied. An Async auditor
@@ -146,7 +148,7 @@ func NewAuditor(opt AuditorOptions) *Auditor {
 // detached copy to the async drainer). Nil-safe, and one atomic
 // increment when the result is not elected — the full cost on the
 // unsampled serving path.
-func (a *Auditor) maybeAudit(g *Graph, scope string, source Vertex, dist []uint32, complete bool) {
+func (a *Auditor) maybeAudit(p *Pool, source Vertex, dist []uint32, complete bool) {
 	if a == nil || a.stride == 0 || len(dist) == 0 {
 		return
 	}
@@ -154,7 +156,7 @@ func (a *Auditor) maybeAudit(g *Graph, scope string, source Vertex, dist []uint3
 		return
 	}
 	a.sampled.Add(1)
-	job := auditJob{g: g, scope: scope, source: source, dist: dist, complete: complete}
+	job := auditJob{pool: p, source: source, dist: dist, complete: complete}
 	if !a.opt.Async {
 		a.mu.Lock()
 		err := a.certify(a.scratch, job)
@@ -193,9 +195,9 @@ func (a *Auditor) drain() {
 // certify runs the certificate matching the result's contract.
 func (a *Auditor) certify(s *verify.Scratch, job auditJob) error {
 	if job.complete {
-		return s.Certificate(job.g, job.source, job.dist)
+		return s.Certificate(job.pool.g, job.source, job.dist)
 	}
-	return s.UpperBound(job.g, job.source, job.dist)
+	return s.UpperBound(job.pool.g, job.source, job.dist)
 }
 
 // settle records one audit outcome and fires the failure hook.
@@ -205,11 +207,16 @@ func (a *Auditor) settle(job auditJob, err error) {
 		return
 	}
 	a.failed.Add(1)
-	msg := fmt.Sprintf("%s source %d: %v", job.scope, job.source, err)
+	msg := fmt.Sprintf("source %d: %v", job.source, err)
+	if a.deployment != nil {
+		if id := a.deployment(job.pool); id != "" {
+			msg = id + " " + msg
+		}
+	}
 	a.lastErr.Store(&msg)
 	if a.opt.OnFailure != nil {
 		a.opt.OnFailure(AuditFailure{
-			Scope:    job.scope,
+			Pool:     job.pool,
 			Source:   job.source,
 			Complete: job.complete,
 			Err:      err,

@@ -28,9 +28,12 @@ const defaultCacheBytes = 256 << 20
 // Cache is a pool-level result-reuse layer: completed distance arrays
 // are retained as compact in-memory WSCK checkpoints (the
 // internal/checkpoint snapshot form — ~4 bytes per vertex) keyed by
-// (scope, graph content fingerprint, source) with LRU eviction under
-// MaxBytes. One Cache may serve many pools — and, through
-// RegistryOptions.Cache, every versioned pool of a Registry.
+// (graph content fingerprint, source) with LRU eviction under MaxBytes.
+// One Cache may serve many pools — and, through RegistryOptions.Cache,
+// every versioned pool of a Registry. Pools over bit-identical graphs
+// share entries, which is sound: exact SSSP distances are unique per
+// graph, so every solver and every warm seed converges to the same
+// answer.
 //
 // Three mechanisms stack, cheapest first:
 //
@@ -54,11 +57,11 @@ const defaultCacheBytes = 256 << 20
 //
 // Staleness is impossible by construction: keys embed the graph's
 // weight-covering content fingerprint (Graph.WeightFingerprint), so a
-// hot-reloaded version — even one identical in shape — can never
-// observe a predecessor's entries. InvalidateScope additionally frees
-// a retired version's memory promptly and marks its in-flight solves
-// do-not-store; the Registry calls it on every reload, rollback and
-// removal.
+// hot-reloaded version with other content — even one identical in
+// shape — can never observe a predecessor's entries, while a republish
+// of identical content keeps them. The Registry frees a fingerprint's
+// entries when a version retires in favour of other content, on
+// removal, and on a failed audit.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
@@ -81,14 +84,11 @@ type Cache struct {
 	hitLat histogram
 }
 
-// cacheKey identifies one cached result. The scope partitions entries
-// by deployment (the Registry uses "name@version"); the graphFP pins
-// the exact graph content so two scopes — or two graphs behind bare
-// pools sharing one cache — can never alias each other's results
-// unless the graphs are bit-identical, in which case sharing is
-// correct.
+// cacheKey identifies one cached result. The graphFP pins the exact
+// graph content, so two pools sharing one cache can never alias each
+// other's results unless their graphs are bit-identical, in which case
+// sharing is correct.
 type cacheKey struct {
-	scope  string
 	fp     graphFP
 	source uint32
 }
@@ -147,7 +147,7 @@ type flight struct {
 	done    chan struct{}
 	res     *Result
 	err     error
-	noStore atomic.Bool // set by InvalidateScope: the scope retired mid-solve
+	noStore atomic.Bool // set by invalidate: the fingerprint was dropped mid-solve
 }
 
 // NewCache returns an empty cache with opt applied.
@@ -172,7 +172,7 @@ func NewCache(opt CacheOptions) *Cache {
 // are served as usual, but a miss that would solve cold — the most
 // expensive class of query — sheds with ErrOverloaded instead.
 func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWarm *Checkpoint, reuseOnly bool) (*Result, error) {
-	key := cacheKey{scope: p.cacheScope, fp: p.fp, source: uint32(source)}
+	key := cacheKey{fp: p.fp, source: uint32(source)}
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -237,7 +237,11 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 		res, err := p.admitAndSolve(ctx, source, warm)
 
 		c.mu.Lock()
-		delete(c.flights, key)
+		if c.flights[key] == f {
+			// invalidate may have unlinked this flight and a newer
+			// leader taken the slot: only the owner frees it.
+			delete(c.flights, key)
+		}
 		store := err == nil && res != nil && res.Complete && !f.noStore.Load()
 		if store {
 			c.insertLocked(key, res)
@@ -255,7 +259,7 @@ func (c *Cache) getOrSolve(ctx context.Context, p *Pool, source Vertex, callerWa
 	}
 }
 
-// nearestSeedLocked scans the cached entries of (scope, fp) for the
+// nearestSeedLocked scans the cached entries of key.fp for the
 // source nearest to key.source and synthesizes a warm-start checkpoint
 // from it: seed[v] = distA[v] + distA[B], clamped at Infinity, with
 // seed[B] = 0 — every entry an upper bound on the true distance via
@@ -271,7 +275,7 @@ func (c *Cache) nearestSeedLocked(p *Pool, key cacheKey) *Checkpoint {
 	bestD := uint32(Infinity)
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*cacheEntry)
-		if ent.key.scope != key.scope || ent.key.fp != key.fp {
+		if ent.key.fp != key.fp {
 			continue
 		}
 		if d := ent.cp.Dist[key.source]; d < bestD {
@@ -389,49 +393,47 @@ func copyResult(r *Result) *Result {
 	return &out
 }
 
-// InvalidateScope drops every cached entry whose scope matches and
-// marks matching in-flight solves do-not-store, so nothing keyed to a
-// retired deployment lingers in the budget or slips in after it. The
-// Registry calls this on reload, rollback and removal; entries were
-// already unreachable by the successor version (its scope and
-// fingerprint differ), so this is memory hygiene, not a correctness
-// requirement. Returns the number of entries dropped.
-func (c *Cache) InvalidateScope(scope string) int {
+// invalidate drops every cached entry of fingerprint fp, marks fp's
+// in-flight solves do-not-store and unlinks them, so a later query for
+// the same key leads its own solve instead of coalescing onto one whose
+// result is no longer trusted (a quarantined pool's). Followers that
+// already joined such a flight still receive its result. The Registry
+// calls this when a version retires in favour of other content, on
+// removal, and on a failed audit.
+func (c *Cache) invalidate(fp graphFP) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := 0
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
-		if ent := el.Value.(*cacheEntry); ent.key.scope == scope {
+		if el.Value.(*cacheEntry).key.fp == fp {
 			c.removeLocked(el)
-			dropped++
 		}
 		el = next
 	}
 	for key, f := range c.flights {
-		if key.scope == scope {
+		if key.fp == fp {
 			f.noStore.Store(true)
+			delete(c.flights, key)
 		}
 	}
-	return dropped
 }
 
-// harvestScope collects the complete exact distance arrays the cache
-// holds for one (scope, graph) pair — at most one per source. Registry
-// CachedResults exposes it for shutdown snapshots. The Registry also
-// calls this when mutating a graph, BEFORE activating the
-// successor version (activation invalidates the scope): each harvested
-// checkpoint is exact on the pre-mutation graph and therefore a legal
-// prior for MutationDelta.Seed, turning yesterday's cache hits into
-// repaired warm starts on the new version. Entries whose integrity
-// hash no longer matches are skipped — a rotted distance array must
-// not seed a repair. The returned checkpoints are live cache data:
-// read-only for the caller.
-func (c *Cache) harvestScope(scope string, fp graphFP) []*Checkpoint {
+// harvest collects the complete exact distance arrays the cache holds
+// for one graph — at most one per source. Registry CachedResults
+// exposes it for shutdown snapshots. The Registry also calls this when
+// mutating a graph, before activating the successor version (which
+// may drop the retired fingerprint): each harvested checkpoint is
+// exact on the pre-mutation graph and therefore a legal prior for
+// MutationDelta.Seed, turning yesterday's cache hits into repaired
+// warm starts on the new version. Entries whose integrity hash no
+// longer matches are skipped — a rotted distance array must not seed a
+// repair. The returned checkpoints are live cache data: read-only for
+// the caller.
+func (c *Cache) harvest(fp graphFP) []*Checkpoint {
 	c.mu.Lock()
 	ents := make([]*cacheEntry, 0, len(c.entries))
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if ent := el.Value.(*cacheEntry); ent.key.scope == scope && ent.key.fp == fp {
+		if ent := el.Value.(*cacheEntry); ent.key.fp == fp {
 			ents = append(ents, ent)
 		}
 	}

@@ -344,13 +344,13 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidateScope: invalidation drops exactly the named
-// scope's entries and marks its in-flight solves do-not-store.
-func TestCacheInvalidateScope(t *testing.T) {
-	g := uchain(64, 2)
+// TestCacheInvalidate: invalidation drops exactly the named graph
+// content's entries; pools over other content keep theirs.
+func TestCacheInvalidate(t *testing.T) {
+	ga, gb := uchain(64, 2), uchain(64, 3)
 	cache := NewCache(CacheOptions{})
-	pa := cachedPool(t, g, cache, PoolOptions{CacheScope: "a"})
-	pb := cachedPool(t, g, cache, PoolOptions{CacheScope: "b"})
+	pa := cachedPool(t, ga, cache, PoolOptions{})
+	pb := cachedPool(t, gb, cache, PoolOptions{})
 	ctx := context.Background()
 
 	if _, err := pa.Run(ctx, 0); err != nil {
@@ -359,40 +359,43 @@ func TestCacheInvalidateScope(t *testing.T) {
 	if _, err := pb.Run(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	if dropped := cache.InvalidateScope("a"); dropped != 1 {
-		t.Fatalf("InvalidateScope dropped %d entries, want 1", dropped)
-	}
+	cache.invalidate(fingerprintOf(ga))
 	if st := cache.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d after invalidating one of two scopes, want 1", st.Entries)
+		t.Fatalf("entries = %d after invalidating one of two graphs, want 1", st.Entries)
 	}
-	// Scope b survives (hit); scope a re-misses.
+	// Graph b survives (hit); graph a re-misses.
 	if _, err := pb.Run(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	if hits := cache.Stats().Hits; hits != 1 {
-		t.Fatalf("Hits = %d, want 1 (scope b resident)", hits)
+		t.Fatalf("Hits = %d, want 1 (graph b resident)", hits)
 	}
 	if _, err := pa.Run(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 3 {
-		t.Fatalf("Misses = %d, want 3 (scope a re-missed)", st.Misses)
+		t.Fatalf("Misses = %d, want 3 (graph a re-missed)", st.Misses)
 	}
 }
 
-// TestCacheInvalidateScopeMidFlight: a solve in flight when its scope
-// is invalidated completes for its caller but is not stored.
-func TestCacheInvalidateScopeMidFlight(t *testing.T) {
+// TestCacheInvalidateMidFlight: a solve in flight when its graph's
+// entries are invalidated completes for its caller but is not stored,
+// and the next identical query leads its own solve instead of
+// coalescing onto it.
+func TestCacheInvalidateMidFlight(t *testing.T) {
 	g := uchain(64, 2)
 	cache := NewCache(CacheOptions{})
 	inSolve := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
 	p := cachedPool(t, g, cache, PoolOptions{
-		CacheScope: "a",
+		Sessions: 2,
 		OnSolve: func(SolveObservation) {
-			once.Do(func() { close(inSolve) })
-			<-release
+			held := false
+			once.Do(func() { held = true; close(inSolve) })
+			if held {
+				<-release
+			}
 		},
 	})
 	ctx := context.Background()
@@ -402,9 +405,14 @@ func TestCacheInvalidateScopeMidFlight(t *testing.T) {
 	var err error
 	go func() { defer close(done); res, err = p.Run(ctx, 0) }()
 	<-inSolve // the solve finished but the flight hasn't published or stored yet
-	if dropped := cache.InvalidateScope("a"); dropped != 0 {
-		t.Fatalf("dropped %d entries, want 0 (nothing stored yet)", dropped)
+	cache.invalidate(fingerprintOf(g))
+	if _, err := p.Run(ctx, 0); err != nil {
+		t.Fatalf("Run after invalidate: %v", err)
 	}
+	if st := cache.Stats(); st.Misses != 2 || st.Coalesced != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses / 0 coalesced / 1 entry (a fresh flight)", st)
+	}
+	cache.invalidate(fingerprintOf(g))
 	close(release)
 	<-done
 
@@ -611,16 +619,15 @@ func TestElapsedAccounting(t *testing.T) {
 // TestCacheOverlayMutateNoStaleResults: the mutation analogue of the
 // hot-swap stale-read test above. A mutated graph advances the
 // content fingerprint, so a pre-mutation cache entry must be
-// unreachable for post-mutation queries even when two pools share one
-// cache under the SAME scope — the keying, not the scope hygiene, is
-// the correctness boundary.
+// unreachable for post-mutation queries even though both pools share
+// one cache — the content keying is the correctness boundary.
 func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 	const n = 32
 	cache := NewCache(CacheOptions{})
 	ctx := context.Background()
 
 	g := uchain(n, 1)
-	pre := cachedPool(t, g, cache, PoolOptions{CacheScope: "shared"})
+	pre := cachedPool(t, g, cache, PoolOptions{})
 
 	res, err := pre.Run(ctx, 0)
 	if err != nil {
@@ -636,13 +643,13 @@ func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 		t.Fatalf("pre-mutation stats = %+v, want 1 hit / 1 miss", st)
 	}
 
-	// Same shape, same scope, one weight changed: the next query must
+	// Same shape, one weight changed: the next query must
 	// NOT see the cached pre-mutation distances.
 	ng, _, err := ApplyMutations(g, []Mutation{{Kind: MutSetWeight, From: 0, To: 1, W: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := cachedPool(t, ng, cache, PoolOptions{CacheScope: "shared"})
+	post := cachedPool(t, ng, cache, PoolOptions{})
 	res, err = post.Run(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -668,7 +675,7 @@ func TestCacheOverlayMutateNoStaleResults(t *testing.T) {
 // retiring version's complete cached results and repairs them into
 // warm seeds for the successor — the first post-mutation query for a
 // previously hot source warm-starts instead of solving cold, and the
-// old version's entries are invalidated with the swap.
+// old content's entries are dropped with the swap.
 func TestCacheRegistryMutateWarmHarvest(t *testing.T) {
 	const n = 32
 	cache := NewCache(CacheOptions{})
@@ -700,7 +707,7 @@ func TestCacheRegistryMutateWarmHarvest(t *testing.T) {
 		t.Fatalf("version = %d, want 2", version)
 	}
 	if st := cache.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d after mutate, want 0 (v1 scope invalidated)", st.Entries)
+		t.Fatalf("entries = %d after mutate, want 0 (v1 content retired)", st.Entries)
 	}
 
 	res, err := r.Run(ctx, "g", 0)

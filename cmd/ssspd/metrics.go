@@ -169,8 +169,7 @@ type promSnapshot struct {
 
 	scanQuarantined int64 // rescan skips of quarantined bundle files
 
-	observed     wasp.ObserverTotals // summed over every observed solve
-	hasObservers bool                // the pools run observed sessions
+	observed wasp.ObserverTotals // summed over every observed solve
 }
 
 // graphSample is one graph's labeled gauge values.
@@ -191,7 +190,6 @@ func (s *server) snapshot() promSnapshot {
 		ckptRecovered:       s.recovered.Load(),
 		ckptSkipped:         s.recoverySkipped.Load(),
 		hasCkpt:             s.ckptDir != "",
-		hasObservers:        len(s.reg.Observers()) > 0,
 	}
 	for _, name := range s.reg.Graphs() {
 		if st, ok := s.reg.Status(name); ok {
@@ -339,7 +337,8 @@ func writeProm(w io.Writer, snap promSnapshot) {
 		writeCacheProm(w, snap.cache)
 	}
 
-	if !snap.hasObservers {
+	if snap.observed.Solves == 0 {
+		// No observed session has solved yet (or the pools run none).
 		return
 	}
 	m := snap.observed.Metrics

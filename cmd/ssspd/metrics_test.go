@@ -344,6 +344,49 @@ func TestMetricsWithoutObservers(t *testing.T) {
 	}
 }
 
+// TestMetricsQuarantinedSoleGraph: the scheduler families count solves
+// the daemon already ran, so they stay exported while the only graph is
+// quarantined and no pool is serving.
+func TestMetricsQuarantinedSoleGraph(t *testing.T) {
+	g, err := wasp.GenerateWorkload("kron", wasp.WorkloadConfig{N: 4000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := newPromState(0)
+	reg := newRegistry(t, "kron", g, wasp.RegistryOptions{
+		Options: wasp.Options{Workers: 2},
+		Pool: wasp.PoolOptions{
+			Sessions: 1,
+			Observe:  &wasp.ObserverConfig{},
+			OnSolve:  prom.onSolve,
+		},
+		Audit: &wasp.AuditorOptions{SampleRate: 1}, // sync: quarantined before the response
+	})
+	ts := newHTTPServer(t, &server{reg: reg, prom: prom})
+
+	fault.Activate(fault.NewPlan(fault.Config{Seed: 2, DistFlip: 1000}))
+	getJSON(t, ts.URL+"/sssp?source=0", http.StatusOK, nil)
+	fault.Deactivate()
+	if st, _ := reg.Status("kron"); st.State != wasp.GraphQuarantined {
+		t.Fatalf("state = %q, want %q", st.State, wasp.GraphQuarantined)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	families := lintPromText(t, string(body))
+	f, ok := families["ssspd_scheduler_solves_observed_total"]
+	if !ok || f.samples["ssspd_scheduler_solves_observed_total"] != 1 {
+		t.Fatalf("scheduler families missing or wrong while the sole graph is quarantined:\n%s", body)
+	}
+	if f := families["ssspd_scheduler_relaxations_total"]; f == nil || f.samples["ssspd_scheduler_relaxations_total"] <= 0 {
+		t.Fatalf("ssspd_scheduler_relaxations_total missing or zero:\n%s", body)
+	}
+}
+
 // TestSlowTraceCapture: the debug mux serves the slowest solves'
 // Chrome traces and summaries, index sorted slowest-first, and pprof
 // is mounted.

@@ -180,7 +180,7 @@ func TestPoolBrownoutCacheOnly(t *testing.T) {
 	gov := NewGovernor(GovernorConfig{MinDwell: time.Hour})
 	cache := NewCache(CacheOptions{})
 	p, err := NewPool(g, Options{}, PoolOptions{
-		Sessions: 1, Cache: cache, CacheScope: "t", Governor: gov,
+		Sessions: 1, Cache: cache, Governor: gov,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +210,8 @@ func TestPoolBrownoutCacheOnly(t *testing.T) {
 	}
 
 	// A directed-graph pool (no warm seeding) sharing nothing cached:
-	// cold miss, shed. Here: invalidate the scope so nothing can seed.
-	cache.InvalidateScope("t")
+	// cold miss, shed. Here: invalidate the graph so nothing can seed.
+	cache.invalidate(fingerprintOf(g))
 	if _, err := p.Run(ctx, 5); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("cold miss under brownout: err = %v, want ErrOverloaded", err)
 	}
@@ -240,7 +240,7 @@ func TestPoolBrownoutShedShedsEverything(t *testing.T) {
 	gov := NewGovernor(GovernorConfig{MinDwell: time.Hour})
 	cache := NewCache(CacheOptions{})
 	p, err := NewPool(g, Options{}, PoolOptions{
-		Sessions: 1, Cache: cache, CacheScope: "t", Governor: gov,
+		Sessions: 1, Cache: cache, Governor: gov,
 	})
 	if err != nil {
 		t.Fatal(err)

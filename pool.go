@@ -82,21 +82,16 @@ type PoolOptions struct {
 	// completed solve, concurrent identical queries coalesce onto one
 	// in-flight solve, and misses may warm-start from the nearest
 	// cached source (see Cache). One Cache may front many pools;
-	// entries are keyed by CacheScope plus the graph's content
-	// fingerprint, so distinct graphs never alias.
+	// entries are keyed by the graph's content fingerprint, so distinct
+	// graphs never alias and pools of bit-identical graphs share
+	// entries — which is sound: every algorithm computes the same exact
+	// distances.
 	Cache *Cache
-	// CacheScope partitions this pool's cache entries from other pools
-	// sharing the same Cache (the Registry sets "name@version"). Pools
-	// of bit-identical graphs given the same scope share entries —
-	// which is sound: every algorithm computes the same exact
-	// distances. The scope also names this pool in audit failures
-	// (AuditFailure.Scope), so it is kept even when Cache is nil.
-	CacheScope string
 
 	// Auditor, when non-nil, samples this pool's served solve results
 	// for background certification (see Auditor): every stride-th
 	// result that Run/Resume would hand back — complete or degraded —
-	// is submitted with the pool's CacheScope as its audit identity.
+	// is submitted, and a failure names this pool (AuditFailure.Pool).
 	// Cache hits are never re-audited (they are copies of a result that
 	// was itself subject to sampling when first solved). The unsampled
 	// cost is one atomic increment; sampled results are certified off
@@ -202,11 +197,10 @@ type Pool struct {
 	tickets chan struct{} // admission capacity: Sessions + QueueDepth
 	drain   chan struct{} // closed by Close: releases queued waiters
 
-	cache      *Cache    // nil unless conf.Cache was set
-	cacheScope string    // conf.CacheScope, fixed at construction
-	fp         graphFP   // graph identity for cache keys; zero unless cached
-	gov        *Governor // nil unless conf.Governor was set
-	aud        *Auditor  // nil unless conf.Auditor was set
+	cache *Cache    // nil unless conf.Cache was set
+	fp    graphFP   // graph identity for cache keys; zero unless cached
+	gov   *Governor // nil unless conf.Governor was set
+	aud   *Auditor  // nil unless conf.Auditor was set
 
 	observers []*Observer // per-session observers; nil unless conf.Observe
 
@@ -241,7 +235,6 @@ func NewPool(g *Graph, opt Options, conf PoolOptions) (*Pool, error) {
 		tickets: make(chan struct{}, conf.Sessions+conf.QueueDepth),
 		drain:   make(chan struct{}),
 	}
-	p.cacheScope = conf.CacheScope // audit identity even on cacheless pools
 	if conf.Cache != nil {
 		if g == nil {
 			return nil, fmt.Errorf("wasp: nil graph")
@@ -471,7 +464,7 @@ func (p *Pool) admitAndSolve(ctx context.Context, source Vertex, warm *Checkpoin
 		// Audit sampling: served results only (complete or degraded) —
 		// a query that errored served no distances. One atomic add when
 		// the result is not elected; nil-safe when no auditor is set.
-		p.aud.maybeAudit(p.g, p.cacheScope, source, res.Dist, res.Complete)
+		p.aud.maybeAudit(p, source, res.Dist, res.Complete)
 	}
 	if p.conf.OnSolve != nil {
 		// The session is still checked out: its observer is quiescent
@@ -512,8 +505,8 @@ func (p *Pool) admitAndSolve(ctx context.Context, source Vertex, warm *Checkpoin
 // configured session, or nil when PoolOptions.Observe was not set.
 // Observers survive quarantine rebuilds, so each entry's Cumulative
 // totals cover its slot's entire history; summing them across the
-// slice aggregates the whole pool (ssspd's /metrics does exactly
-// this). The slice is owned by the pool — do not modify it.
+// slice aggregates the whole pool. The slice is owned by the pool — do
+// not modify it.
 func (p *Pool) SessionObservers() []*Observer { return p.observers }
 
 // solveOn runs one query on *sess, applying the deadline budget and
@@ -602,6 +595,17 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
+// stopAdmission is Close's first, non-blocking half: once it returns,
+// no new solve starts on the pool and queued waiters are released.
+func (p *Pool) stopAdmission() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed {
+		p.closed = true
+		close(p.drain)
+	}
+}
+
 // Close stops admission, releases queued waiters with ErrPoolClosed,
 // and waits for in-flight solves to finish — or for ctx to expire,
 // in which case it returns ctx.Err() with solves still draining.
@@ -609,14 +613,7 @@ func (p *Pool) isClosed() bool {
 // solve outlives the budget) and pass a ctx sized to it. Close is
 // idempotent; Run returns ErrPoolClosed forever after.
 func (p *Pool) Close(ctx context.Context) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-	} else {
-		p.closed = true
-		close(p.drain)
-		p.mu.Unlock()
-	}
+	p.stopAdmission()
 	done := make(chan struct{})
 	go func() {
 		p.wg.Wait()

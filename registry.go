@@ -45,7 +45,7 @@ const (
 	GraphDegradedLastGood GraphState = "degraded-last-good"
 	// GraphQuarantined: a sampled result audit failed on the active
 	// version, so the registry took it out of rotation — its pool is
-	// drained, its cache scope invalidated, and queries return
+	// drained, its cached results dropped, and queries return
 	// ErrQuarantined until a Load or Rollback activates a replacement.
 	// Unlike GraphDegradedLastGood there is no silent fallback: wrong
 	// answers are worse than no answers.
@@ -61,12 +61,12 @@ type RegistryOptions struct {
 	// Pool configures every per-graph pool's admission behavior.
 	Pool PoolOptions
 	// Cache, when non-nil, fronts every per-graph pool with one shared
-	// result-reuse layer (see Cache). Each version's entries are scoped
-	// to "name@version" and additionally keyed by the graph's content
-	// fingerprint, so a hot reload — even to a bundle identical in
-	// shape — can never serve a predecessor's distances; retiring a
-	// version (reload, rollback, removal) invalidates its scope
-	// atomically with the swap.
+	// result-reuse layer (see Cache). Entries are keyed by the graph's
+	// content fingerprint, so a hot reload to other content — even a
+	// bundle identical in shape — can never serve a predecessor's
+	// distances, while a republish of identical content keeps every
+	// cached answer. A reload or rollback to other content drops the
+	// retired fingerprint's entries, as does a removal.
 	Cache *Cache
 	// History is how many retired versions each graph retains for
 	// explicit rollback (default 2). Retired versions hold their graph
@@ -90,10 +90,10 @@ type RegistryOptions struct {
 	// Audit, when non-nil, builds a registry-owned Auditor spanning
 	// every per-graph pool: the configured fraction of served results
 	// is certified from first principles, and a failed audit
-	// quarantines the failing version — pool drained, cache scope
-	// invalidated, state GraphQuarantined, queries ErrQuarantined —
-	// before the configured OnFailure hook (if any) runs. The auditor
-	// is closed by Registry.Close.
+	// quarantines the failing version — pool drained, cached results
+	// of its content dropped, state GraphQuarantined, queries
+	// ErrQuarantined — before the configured OnFailure hook (if any)
+	// runs. The auditor is closed by Registry.Close.
 	Audit *AuditorOptions
 }
 
@@ -178,7 +178,7 @@ type graphVersion struct {
 	perm    []Vertex               // old→new relabeling; nil when identity
 	warm    map[uint32]*Checkpoint // bundle checkpoints by (relabeled) source
 	// quarantined marks a version that failed a result audit; set under
-	// Registry.mu by quarantineScope and never cleared — the version
+	// Registry.mu by quarantine and never cleared — the version
 	// must stay out of the rollback history when it is later replaced.
 	quarantined bool
 }
@@ -244,14 +244,31 @@ func NewRegistry(conf RegistryOptions) *Registry {
 		aopt := *conf.Audit
 		user := aopt.OnFailure
 		aopt.OnFailure = func(f AuditFailure) {
-			r.quarantineScope(f.Scope, f.Err)
+			r.quarantine(f.Pool, f.Err)
 			if user != nil {
 				user(f)
 			}
 		}
 		r.auditor = NewAuditor(aopt)
+		r.auditor.deployment = r.deploymentOf
 	}
 	return r
+}
+
+// deploymentOf names the active or retained version whose graph p
+// serves as "name@version", the label of an audit failure; "" once
+// the version is gone.
+func (r *Registry) deploymentOf(p *Pool) string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, e := range r.graphs {
+		for _, v := range append([]*graphVersion{e.active}, e.history...) {
+			if v != nil && v.g == p.g {
+				return fmt.Sprintf("%s@%d", e.name, v.version)
+			}
+		}
+	}
+	return ""
 }
 
 // Auditor returns the registry-owned auditor built from
@@ -387,10 +404,6 @@ func (r *Registry) entry(name string, create bool) (*graphEntry, error) {
 func (r *Registry) buildVersion(ctx context.Context, b *Bundle) (*graphVersion, error) {
 	opt := r.conf.Options
 	popt := r.conf.Pool
-	// The scope is set unconditionally: it keys cache entries when a
-	// cache is attached and names the deployment in audit failures
-	// (the identity quarantineScope resolves) either way.
-	popt.CacheScope = cacheScopeFor(b.Manifest.Name, b.Manifest.Version)
 	if r.conf.Cache != nil {
 		popt.Cache = r.conf.Cache
 	}
@@ -444,28 +457,29 @@ func (r *Registry) activate(e *graphEntry, v *graphVersion, kind RegistryEventKi
 	e.active = v
 	e.state = GraphServing
 	e.lastErr = nil
+	retired := false
 	if old != nil {
 		oldPool, old.pool = old.pool, nil
 		if old.quarantined {
 			// A quarantined version served wrong answers: dropping it
 			// instead of retiring it keeps Rollback from ever rolling
-			// forward onto it.
+			// forward onto it. Quarantine already dropped its content's
+			// cached results.
 			old = nil
 		} else {
 			e.history = append(e.history, old)
 			if drop := len(e.history) - r.conf.History; drop > 0 {
 				e.history = append([]*graphVersion(nil), e.history[drop:]...)
 			}
+			retired = fingerprintOf(old.g) != fingerprintOf(v.g)
 		}
 	}
 	r.mu.Unlock()
 
-	if old != nil && r.conf.Cache != nil {
-		// Invalidate the retired version's cache scope with the swap:
-		// its entries were already unreachable by v (scope and content
-		// fingerprint both differ), so this frees their memory and
-		// marks the old pool's in-flight cache solves do-not-store.
-		r.conf.Cache.InvalidateScope(cacheScopeFor(e.name, old.version))
+	if retired {
+		// The successor serves other content: free the retired
+		// content's entries. An identical republish keeps them.
+		r.invalidate(old.g)
 	}
 	if oldPool != nil {
 		// Drain in the background: in-flight queries finish on the old
@@ -480,58 +494,65 @@ func (r *Registry) activate(e *graphEntry, v *graphVersion, kind RegistryEventKi
 	r.event(RegistryEvent{Graph: e.name, Version: v.version, Kind: kind})
 }
 
-// cacheScopeFor is the cache-entry scope of one deployment: embedding
-// the version means a reload re-keys rather than overwrites, and
-// InvalidateScope on retirement is hygiene rather than correctness.
-func cacheScopeFor(name string, version uint64) string {
-	return fmt.Sprintf("%s@%d", name, version)
+// invalidate drops the cached results of g's content (see
+// Cache.invalidate). A no-op without a cache.
+func (r *Registry) invalidate(g *Graph) {
+	if r.conf.Cache != nil {
+		r.conf.Cache.invalidate(fingerprintOf(g))
+	}
 }
 
-// quarantineScope takes the deployment identified by scope out of
-// rotation after a failed result audit: the pool is severed and
-// drained, the cache scope invalidated (a corrupt result may have been
-// stored), the entry's state set to GraphQuarantined, and the event
-// emitted. The quarantined version is NOT retired into the rollback
-// history — an operator must never roll forward onto a version that
-// served wrong answers. A scope that no longer names an active version
-// (already replaced, already quarantined, removed) is a no-op: the
-// corrupt deployment is gone either way.
-func (r *Registry) quarantineScope(scope string, cause error) {
+// quarantine takes the deployment served by pool out of rotation
+// after a failed result audit: the pool is severed and drained, the
+// cached results of its content dropped (a corrupt result may have
+// been stored, or be in flight), the entry's state set to
+// GraphQuarantined, and the event emitted. The quarantined version is
+// NOT retired into the rollback history — an operator must never roll
+// forward onto a version that served wrong answers. A pool that no
+// longer serves an active version (already replaced, already
+// quarantined, removed) changes no graph's state, but its admission
+// still stops and its content's cached results and flights are still
+// dropped: a successor may serve the same content (an identical
+// republish shares its cache keys), and must not inherit a corrupt
+// entry or join a suspect solve.
+func (r *Registry) quarantine(pool *Pool, cause error) {
 	r.mu.Lock()
 	var e *graphEntry
 	for _, ge := range r.graphs {
-		if ge.active != nil && ge.active.pool != nil &&
-			cacheScopeFor(ge.name, ge.active.version) == scope {
+		if ge.active != nil && ge.active.pool == pool {
 			e = ge
 			break
 		}
 	}
 	if e == nil {
 		r.mu.Unlock()
+		pool.stopAdmission()
+		r.invalidate(pool.g)
 		return
 	}
 	v := e.active
-	var oldPool *Pool
-	oldPool, v.pool = v.pool, nil
+	v.pool = nil
 	v.quarantined = true
 	e.state = GraphQuarantined
 	e.lastErr = fmt.Errorf("%w: audit failed: %v", ErrQuarantined, cause)
 	r.mu.Unlock()
 
 	r.quarantined.Add(1)
-	if r.conf.Cache != nil {
-		// The corrupt result may already be cached (the flip lands
-		// before the cache insert); every entry of the version is now
-		// suspect.
-		r.conf.Cache.InvalidateScope(scope)
-	}
-	if oldPool != nil {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
-			defer cancel()
-			_ = oldPool.Close(ctx)
-		}()
-	}
+	// The corrupt result may already be cached (the flip lands before
+	// the cache insert); every entry of the version's content is now
+	// suspect, and so is every solve still in flight on its pool.
+	// Admission stops first, so a query that routed to the pool before
+	// the sever either registered its flight before the invalidation
+	// (and is marked do-not-store) or is refused admission after it:
+	// no solve on this pool can store a result under the content keys
+	// a healed version shares.
+	pool.stopAdmission()
+	r.invalidate(v.g)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), r.conf.DrainTimeout)
+		defer cancel()
+		_ = pool.Close(ctx)
+	}()
 	r.event(RegistryEvent{Graph: e.name, Version: v.version, Kind: EventQuarantined, Err: cause})
 }
 
@@ -660,14 +681,14 @@ func (r *Registry) Mutate(ctx context.Context, name string, batch []Mutation) (u
 	}
 
 	// Harvest the retiring version's complete cached results BEFORE
-	// activation invalidates its scope, and repair each into a warm
+	// activation drops them, and repair each into a warm
 	// checkpoint stamped with the successor's fingerprint. Only cache
 	// entries qualify as repair priors: they are exact finished solves.
 	// (The retiring version's bundle checkpoints in v.warm are mere
 	// upper bounds and must NOT seed cone invalidation.)
 	var seeds []*Checkpoint
 	if r.conf.Cache != nil {
-		for _, cp := range r.conf.Cache.harvestScope(cacheScopeFor(name, oldVersion), fingerprintOf(oldG)) {
+		for _, cp := range r.conf.Cache.harvest(fingerprintOf(oldG)) {
 			repaired, serr := delta.Seed(Vertex(cp.Source), cp.Dist)
 			if serr != nil {
 				continue
@@ -726,8 +747,8 @@ func (r *Registry) Remove(ctx context.Context, name string) error {
 	delete(r.graphs, name)
 	r.mu.Unlock()
 
-	if active != nil && r.conf.Cache != nil {
-		r.conf.Cache.InvalidateScope(cacheScopeFor(name, version))
+	if active != nil {
+		r.invalidate(active.g)
 	}
 	if pool != nil {
 		if err := pool.Close(ctx); err != nil {
@@ -780,12 +801,30 @@ func (r *Registry) closedOr(err error) error {
 // version: a reload never surfaces ErrPoolClosed to a Run caller while
 // the graph stays registered.
 func (r *Registry) Run(ctx context.Context, name string, source Vertex) (*Result, error) {
+	return r.route(ctx, name, source, nil)
+}
+
+// Resume routes a checkpointed solve to the named graph, the
+// registry-level Pool.Resume: the checkpoint must match the active
+// version's graph shape (Checkpoint.Matches runs inside the pool), so
+// a checkpoint taken against a version that has since been replaced by
+// a differently-shaped graph fails fast instead of converging to
+// garbage. Swap races re-route and results are translated to original
+// ids like Run.
+func (r *Registry) Resume(ctx context.Context, name string, cp *Checkpoint) (*Result, error) {
+	return r.route(ctx, name, 0, cp)
+}
+
+// route is the body of Run (cp nil) and Resume (cp set): resolve the
+// active version, solve on its pool, retry on a version swapped in
+// under the query, and translate the result back to original ids.
+func (r *Registry) route(ctx context.Context, name string, source Vertex, cp *Checkpoint) (*Result, error) {
 	for {
 		v, pool, err := r.activeVersion(name)
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.runOn(ctx, v, pool, source)
+		res, err := r.runOn(ctx, v, pool, source, cp)
 		if errors.Is(err, ErrPoolClosed) {
 			cur, _, cerr := r.activeVersion(name)
 			if cerr != nil {
@@ -799,71 +838,38 @@ func (r *Registry) Run(ctx context.Context, name string, source Vertex) (*Result
 			}
 			return nil, r.closedOr(err)
 		}
-		return res, err
-	}
-}
-
-// runOn executes one query on a specific version, handling relabeling
-// and warm-start artifacts.
-func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, source Vertex) (*Result, error) {
-	if int(source) >= v.g.NumVertices() {
-		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, v.g.NumVertices())
-	}
-	if pool == nil {
-		return nil, ErrPoolClosed // retired while routing; Run retries
-	}
-	mapped := source
-	if v.perm != nil {
-		mapped = v.perm[source]
-	}
-	var res *Result
-	var err error
-	// Bundle warm-start artifacts are an internally triggered warm
-	// start: when the deployment's options cannot accept a seed
-	// (non-Wasp algorithm, pendant pruning), degrade to a cold solve —
-	// the artifact is an accelerator, never a requirement.
-	if cp, ok := v.warm[uint32(mapped)]; ok && pool.WarmStartSupported() == nil {
-		res, err = pool.Resume(ctx, cp)
-	} else {
-		res, err = pool.Run(ctx, mapped)
-	}
-	if res != nil && v.perm != nil && res.Dist != nil {
-		res.Dist = ApplyPermutation(res.Dist, v.perm)
-	}
-	return res, err
-}
-
-// Resume routes a checkpointed solve to the named graph, the
-// registry-level Pool.Resume: the checkpoint must match the active
-// version's graph shape (Checkpoint.Matches runs inside the pool), so
-// a checkpoint taken against a version that has since been replaced by
-// a differently-shaped graph fails fast instead of converging to
-// garbage. Results are translated to original ids like Run.
-func (r *Registry) Resume(ctx context.Context, name string, cp *Checkpoint) (*Result, error) {
-	for {
-		v, pool, err := r.activeVersion(name)
-		if err != nil {
-			return nil, err
-		}
-		if pool == nil {
-			return nil, ErrPoolClosed
-		}
-		res, err := pool.Resume(ctx, cp)
-		if errors.Is(err, ErrPoolClosed) {
-			cur, _, cerr := r.activeVersion(name)
-			if cerr != nil {
-				return nil, cerr
-			}
-			if cur != v {
-				continue
-			}
-			return nil, r.closedOr(err)
-		}
 		if res != nil && v.perm != nil && res.Dist != nil {
 			res.Dist = ApplyPermutation(res.Dist, v.perm)
 		}
 		return res, err
 	}
+}
+
+// runOn executes one query on a specific version: a caller checkpoint
+// (already in the version's ids) resumes as is; a source is relabeled
+// and resumes from the bundle's warm-start artifact when one exists.
+func (r *Registry) runOn(ctx context.Context, v *graphVersion, pool *Pool, source Vertex, cp *Checkpoint) (*Result, error) {
+	if pool == nil {
+		return nil, ErrPoolClosed // retired while routing; route retries
+	}
+	if cp != nil {
+		return pool.Resume(ctx, cp)
+	}
+	if int(source) >= v.g.NumVertices() {
+		return nil, fmt.Errorf("wasp: source %d out of range for %d vertices", source, v.g.NumVertices())
+	}
+	mapped := source
+	if v.perm != nil {
+		mapped = v.perm[source]
+	}
+	// Bundle warm-start artifacts are an internally triggered warm
+	// start: when the deployment's options cannot accept a seed
+	// (non-Wasp algorithm, pendant pruning), degrade to a cold solve —
+	// the artifact is an accelerator, never a requirement.
+	if warm, ok := v.warm[uint32(mapped)]; ok && pool.WarmStartSupported() == nil {
+		return pool.Resume(ctx, warm)
+	}
+	return pool.Run(ctx, mapped)
 }
 
 // CachedResults returns the complete exact results the cache holds for
@@ -885,7 +891,7 @@ func (r *Registry) CachedResults(name string) []*Checkpoint {
 	if v == nil {
 		return nil
 	}
-	return r.conf.Cache.harvestScope(cacheScopeFor(name, v.version), fingerprintOf(v.g))
+	return r.conf.Cache.harvest(fingerprintOf(v.g))
 }
 
 // Graphs returns the registered graph names, unordered.
@@ -933,22 +939,6 @@ func (r *Registry) Stats(name string) (PoolStats, bool) {
 		return PoolStats{}, false
 	}
 	return pool.Stats(), true
-}
-
-// Observers returns the session observers of every active version (nil
-// entries never occur; graphs without PoolOptions.Observe contribute
-// nothing). Pools retire on reload, so cumulative scheduler counters
-// restart per deployment — standard Prometheus counter-reset semantics.
-func (r *Registry) Observers() []*Observer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var all []*Observer
-	for _, e := range r.graphs {
-		if e.active != nil && e.active.pool != nil {
-			all = append(all, e.active.pool.SessionObservers()...)
-		}
-	}
-	return all
 }
 
 // ReloadStats counts reload outcomes since construction.

@@ -646,9 +646,9 @@ func TestRegistryReloadUnderFire(t *testing.T) {
 
 // TestCacheRegistryHotSwapNoStaleResults: the cache must never serve a
 // retired version's distances. Two versions share a shape and differ
-// only in weights — exactly the aliasing the content fingerprint and
-// per-version scopes exist to prevent — and every query lands the
-// serving version's answer, before and after reload and rollback.
+// only in weights — exactly the aliasing the content fingerprint in
+// every key exists to prevent — and every query lands the serving
+// version's answer, before and after reload and rollback.
 func TestCacheRegistryHotSwapNoStaleResults(t *testing.T) {
 	const n = 32
 	cache := NewCache(CacheOptions{})
@@ -680,7 +680,7 @@ func TestCacheRegistryHotSwapNoStaleResults(t *testing.T) {
 	if err := r.Load(ctx, chainBundle("g", 1, n, 1)); err != nil {
 		t.Fatal(err)
 	}
-	query(1) // miss, populates v1's scope
+	query(1) // miss, populates v1's entry
 	query(1) // hit
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("v1 stats = %+v, want 1 hit / 1 miss", st)
@@ -716,5 +716,67 @@ func TestCacheRegistryHotSwapNoStaleResults(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Entries != 0 {
 		t.Fatalf("entries = %d after Remove, want 0", st.Entries)
+	}
+}
+
+// TestCacheRegistryIdenticalRepublishKeepsResults: a new version whose
+// content is bit-identical to the active one keeps every cached answer
+// — the entries are keyed by content, and exact distances are unique
+// per graph, so the republish changes nothing a query can observe.
+func TestCacheRegistryIdenticalRepublishKeepsResults(t *testing.T) {
+	const n, sources = 32, 8
+	cache := NewCache(CacheOptions{})
+	r := NewRegistry(RegistryOptions{
+		Pool:         PoolOptions{Sessions: 2, QueueDepth: 64, QueueWait: 5 * time.Second},
+		SmokeTimeout: 5 * time.Second,
+		DrainTimeout: 10 * time.Second,
+		Cache:        cache,
+	})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = r.Close(ctx)
+	}()
+	ctx := context.Background()
+
+	queryAll := func() {
+		t.Helper()
+		for src := Vertex(0); src < sources; src++ {
+			res, err := r.Run(ctx, "g", src)
+			if err != nil {
+				t.Fatalf("Run(%d): %v", src, err)
+			}
+			if got, want := res.Dist[n-1], uint32(n-1-int(src)); got != want {
+				t.Fatalf("source %d: dist[%d] = %d, want %d", src, n-1, got, want)
+			}
+		}
+	}
+
+	if err := r.Load(ctx, chainBundle("g", 1, n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	queryAll()
+	if st := cache.Stats(); st.Entries != sources || st.Misses != sources {
+		t.Fatalf("v1 stats = %+v, want %d entries / %d misses", st, sources, sources)
+	}
+
+	// The same content, freshly built, as v2.
+	if err := r.Load(ctx, chainBundle("g", 2, n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := r.Status("g"); st.Version != 2 {
+		t.Fatalf("version = %d after republish, want 2", st.Version)
+	}
+	before := cache.Stats()
+	if before.Entries != sources {
+		t.Fatalf("entries = %d after identical republish, want %d", before.Entries, sources)
+	}
+	if got := len(r.CachedResults("g")); got != sources {
+		t.Fatalf("CachedResults = %d after identical republish, want %d", got, sources)
+	}
+	queryAll()
+	after := cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != sources || misses != 0 {
+		t.Fatalf("re-query after republish: hits +%d misses +%d, want +%d / +0", hits, misses, sources)
 	}
 }

@@ -171,7 +171,7 @@ func TestScrubberCacheScrub(t *testing.T) {
 	g := chain(16, 3)
 	cache := NewCache(CacheOptions{MaxBytes: 1 << 20})
 	p, err := NewPool(g, Options{Workers: 1}, PoolOptions{
-		Sessions: 1, Cache: cache, CacheScope: "line@1",
+		Sessions: 1, Cache: cache,
 	})
 	if err != nil {
 		t.Fatal(err)
